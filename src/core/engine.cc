@@ -6,9 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <map>
 
-#include "core/replication.h"
+#include "core/slice_codec.h"
 #include "stats/alloc_tracker.h"
 #include "stats/trace.h"
 #include "util/hash.h"
@@ -108,21 +107,6 @@ std::vector<dht::NodeIndex>& RicNodeBuffer() {
   return buf;
 }
 
-/// Reusable per-thread replica target set (the mirror fan-out of
-/// docs/failures.md resolves its successor list allocation-free once warm).
-std::vector<dht::NodeIndex>& ReplicaTargetBuffer() {
-  static thread_local std::vector<dht::NodeIndex> buf;
-  return buf;
-}
-
-/// Reusable per-thread key set of the per-install mirror pass in
-/// OnStateHandoff (installed keys, deduplicated in ring order).
-std::vector<KeyId>& InstalledKeyBuffer() {
-  static thread_local std::vector<KeyId> buf;
-  buf.clear();
-  return buf;
-}
-
 }  // namespace
 
 RJoinEngine::RJoinEngine(EngineConfig config, const sql::Catalog* catalog,
@@ -211,7 +195,7 @@ void RJoinEngine::OnBarrier(sim::SimTime round_start) {
       churn_.forwarded_messages += sink.churn.forwarded;
       sink.churn = ChurnSinkCounters{};
       replication_.replica_updates += sink.replica.updates;
-      replication_.replica_keys += sink.replica.keys;
+      replication_.replica_slices += sink.replica.slices;
       replication_.replica_bytes += sink.replica.bytes;
       replication_.promotions_installed += sink.replica.promotions_installed;
       replication_.promoted_records += sink.replica.promoted_records;
@@ -573,7 +557,7 @@ void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
       return;
     }
     case MessageKind::kStateHandoff:
-      OnStateHandoff(self, task.state_handoff());
+      Install(self, *task.state_handoff().batch);
       return;
     case MessageKind::kReplicaUpdate:
       OnReplicaUpdate(self, task.replica_update());
@@ -583,22 +567,6 @@ void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
   }
   RJOIN_CHECK(false) << "undispatchable message kind "
                      << MessageKindName(task.kind());
-}
-
-bool RJoinEngine::MaybeForward(dht::NodeIndex self, KeyId key,
-                               MessageTask* task) {
-  const dht::NodeIndex owner =
-      network_->SuccessorOf(interner_->ring_id(key));
-  if (owner == self) return false;
-  // Responsibility for `key` moved while this message was in flight (or the
-  // sender used a stale cached address). The old owner knows the current
-  // one — its successor chain is exact after the churn splice — so one
-  // direct hop completes the delivery. Departed nodes drain their mail the
-  // same way.
-  const bool ric = task->kind() == MessageKind::kRicRequest;
-  transport_->SendDirect(self, owner, std::move(*task), ric);
-  AddChurnCounters(ChurnSinkCounters{.forwarded = 1});
-  return true;
 }
 
 void RJoinEngine::PrefetchRic(dht::NodeIndex src, const IndexKey& key) {
@@ -630,775 +598,6 @@ void RJoinEngine::OnRicReply(dht::NodeIndex self, const RicReply& msg) {
   state(self).ct.Merge(msg.entry);
 }
 
-// ------------------------------------------------------------- churn ----
-
-Status RJoinEngine::ScheduleJoin(sim::SimTime when, const dht::NodeId& id,
-                                 dht::NodeIndex bootstrap) {
-  if (bootstrap >= states_.size()) {
-    return Status::InvalidArgument("bootstrap node does not exist");
-  }
-  return ScheduleChurnEvent(when, bootstrap,
-                            MessageTask(NodeJoin{id, bootstrap}));
-}
-
-Status RJoinEngine::ScheduleLeave(sim::SimTime when, dht::NodeIndex node) {
-  // The leave announcement is staged wherever it lands; deliver it to the
-  // departing node when it already exists, else to node 0 (a leave may be
-  // scheduled ahead of the join that creates its target — validity is
-  // checked at application time).
-  const dht::NodeIndex dst = node < states_.size() ? node : 0;
-  return ScheduleChurnEvent(when, dst, MessageTask(NodeLeave{node}));
-}
-
-Status RJoinEngine::ScheduleCrash(sim::SimTime when, dht::NodeIndex node,
-                                  uint32_t take_successors) {
-  // Same addressing rule as a leave: the kill notice travels in-band to the
-  // victim when it exists (node 0 otherwise) and is validated when applied.
-  const dht::NodeIndex dst = node < states_.size() ? node : 0;
-  return ScheduleChurnEvent(when, dst,
-                            MessageTask(NodeCrash{node, take_successors}));
-}
-
-Status RJoinEngine::ScheduleChurnEvent(sim::SimTime when, dht::NodeIndex dst,
-                                       MessageTask task) {
-  if (runtime_ != nullptr) {
-    RJOIN_CHECK(runtime::ShardedRuntime::CurrentShard() < 0)
-        << "churn is scheduled from the driver";
-    EnvelopeRef env = runtime_->AcquireFor(dst);
-    env->time = std::max<sim::SimTime>(when, runtime_->Now());
-    env->src = dst;
-    env->seq = runtime_->NextEmitSeq(dst);
-    env->dst = dst;
-    env->task = std::move(task);
-    runtime_->ScheduleEnvelope(std::move(env));
-    return Status::Ok();
-  }
-  EnvelopeRef env = simulator_->pool().Acquire();
-  env->dst = dst;
-  env->task = std::move(task);
-  simulator_->Schedule(std::max<sim::SimTime>(when, simulator_->Now()),
-                       std::move(env));
-  return Status::Ok();
-}
-
-void RJoinEngine::StageOrApplyChurn(ChurnOp op) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
-  if (shard >= 0) {
-    // Worker context: ring mutations are serial-phase work. Stage the
-    // request keyed by this event's (time, src, seq); the driver applies
-    // all staged ops at the next rendezvous in global EventKey order,
-    // which is the same for any shard count.
-    const runtime::EventKey key = runtime_->CurrentEventKey();
-    sinks_[shard].churn_ops.emplace_back(key, std::move(op));
-    // Cap the epoch: no shard may outrun the staged mutation. At this
-    // instant no watermark can have passed key.time + lookahead (the
-    // staging shard's published floor is still <= key.time), so the cap
-    // holds for every shard — and the resulting rendezvous schedule is a
-    // pure function of the event population, hence shard-count-invariant.
-    runtime_->RequestRendezvousBy(
-        sim::SaturatingAdd(key.time, runtime_->lookahead()));
-    return;
-  }
-  // Serial simulator (or driver phase): nothing else is running, apply now.
-  ApplyChurn(op);
-}
-
-void RJoinEngine::ApplyChurn(const ChurnOp& op) {
-  switch (op.kind) {
-    case ChurnOp::Kind::kJoin:
-      ApplyJoin(op.id, op.bootstrap);
-      return;
-    case ChurnOp::Kind::kLeave:
-      ApplyLeave(op.node);
-      return;
-    case ChurnOp::Kind::kCrash:
-      ApplyCrash(op.node, op.take_successors);
-      return;
-  }
-}
-
-void RJoinEngine::ApplyJoin(const dht::NodeId& id, dht::NodeIndex bootstrap) {
-  if (bootstrap >= network_->num_total() ||
-      !network_->node(bootstrap).alive()) {
-    ++churn_.ops_rejected;
-    return;
-  }
-  auto joined = network_->JoinAndSplice(id, bootstrap);
-  if (!joined.ok()) {
-    ++churn_.ops_rejected;
-    return;
-  }
-  GrowForNode(*joined);
-  ++churn_.joins_applied;
-  forwarding_armed_ = true;
-  if (stats::Tracer::On()) {
-    stats::Tracer::Record(stats::TraceCategory::kChurn, /*kind=*/1, *joined,
-                          bootstrap, 0, Now());
-  }
-  // The joiner takes (pred, id] from its successor, the old owner.
-  const dht::NodeIndex pred = network_->node(*joined).predecessor();
-  const dht::NodeIndex old_owner = network_->node(*joined).successor();
-  if (old_owner != *joined) {
-    EmitHandoff(old_owner, *joined,
-                dht::KeyRange{network_->node(pred).id(), id});
-  }
-  // The joiner displaced a slot in its predecessors' successor sets: their
-  // mirrors must reach the new replica targets.
-  if (config_.replication > 1) RefreshReplicasAround(id);
-}
-
-void RJoinEngine::ApplyLeave(dht::NodeIndex node) {
-  if (node >= network_->num_total() || !network_->node(node).alive()) {
-    ++churn_.ops_rejected;
-    return;
-  }
-  auto range = network_->LeaveNode(node);
-  if (!range.ok()) {
-    ++churn_.ops_rejected;
-    return;
-  }
-  ++churn_.leaves_applied;
-  forwarding_armed_ = true;
-  if (stats::Tracer::On()) {
-    stats::Tracer::Record(stats::TraceCategory::kChurn, /*kind=*/0, node,
-                          network_->SuccessorOf(range->high), 0, Now());
-  }
-  // The departed node's range belongs to its successor now (the first
-  // alive node past the range's high end).
-  const dht::NodeIndex new_owner = network_->SuccessorOf(range->high);
-  EmitHandoff(node, new_owner, *range);
-  // The leaver's predecessors lost a replica target; re-aim their mirrors.
-  if (config_.replication > 1) RefreshReplicasAround(range->high);
-}
-
-void RJoinEngine::ApplyCrash(dht::NodeIndex node, uint32_t take_successors) {
-  if (node >= network_->num_total() || !network_->node(node).alive()) {
-    ++churn_.ops_rejected;
-    return;
-  }
-  // Victim set: the node plus its next take_successors alive successors —
-  // resolved before anything dies, so "correlated" means ring-adjacent at
-  // crash time.
-  std::vector<dht::NodeIndex> victims{node};
-  if (take_successors > 0) {
-    std::vector<dht::NodeIndex> adjacent;
-    network_->SuccessorsOf(node, take_successors, &adjacent);
-    victims.insert(victims.end(), adjacent.begin(), adjacent.end());
-  }
-
-  // Phase 1: every victim dies before any recovery starts. A correlated
-  // kill of a key's whole replica set must genuinely lose the data — a
-  // victim never gets to promote slices of a fellow victim.
-  std::vector<dht::KeyRange> orphaned;
-  for (dht::NodeIndex v : victims) {
-    auto range = network_->CrashNode(v);
-    if (!range.ok()) {
-      ++churn_.ops_rejected;  // e.g. the last alive node refuses to crash
-      continue;
-    }
-    DropAllState(v);
-    crashed_[v] = 1;
-    ++churn_.crashes_applied;
-    forwarding_armed_ = true;
-    if (stats::Tracer::On()) {
-      stats::Tracer::Record(stats::TraceCategory::kChurn, /*kind=*/2, v,
-                            network_->SuccessorOf(range->high), 0, Now());
-    }
-    orphaned.push_back(*range);
-  }
-
-  // Phase 2: per orphaned range, the surviving successor promotes whatever
-  // replica slices it holds. Stamped with the crash time, so the recovery
-  // metric spans detection (the generation bump at this barrier) through
-  // install.
-  const uint64_t crash_time = Now();
-  for (const dht::KeyRange& range : orphaned) {
-    PromoteReplicas(network_->SuccessorOf(range.high), range, crash_time);
-  }
-  if (config_.replication > 1) {
-    for (const dht::KeyRange& range : orphaned) {
-      RefreshReplicasAround(range.high);
-    }
-  }
-}
-
-void RJoinEngine::DropAllState(dht::NodeIndex node) {
-  NodeState& st = state(node);
-  st.queries.ForEach([&](KeyId key, BucketList& bucket) {
-    while (bucket.head != kNil) {
-      StoredQuery& sq = st.query_pool.at(bucket.head).value;
-      if (sq.residual.origin()->spec().distinct) {
-        st.distinct_fingerprints.Erase(StoredFingerprint(key, sq.residual));
-      }
-      Metrics().RemoveStore(node);
-      BucketUnlink(st.query_pool, bucket, kNil, bucket.head);
-    }
-  });
-  st.tuples.ForEach([&](KeyId, TupleBucket& bucket) {
-    for (uint32_t i = 0; i < bucket.size; ++i) Metrics().RemoveStore(node);
-    TupleBucketClear(st.tuple_chunks, bucket);
-  });
-  st.altt.ForEach([&](KeyId, BucketList& dq) {
-    while (dq.head != kNil) BucketUnlink(st.altt_pool, dq, kNil, dq.head);
-  });
-  st.replicas.reset();
-}
-
-void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
-                                  const dht::KeyRange& range,
-                                  uint64_t crash_time) {
-  if (config_.replication <= 1) return;
-  NodeState& st = state(owner);
-  if (st.replicas == nullptr) return;  // Never mirrored to: nothing survives.
-  const std::vector<KeyId> keys = KeysInRangeSorted(
-      st.replicas->slices, *interner_, range.low, range.high);
-  if (keys.empty()) return;
-
-  auto batch = std::make_unique<HandoffBatch>();
-  batch->from = owner;
-  batch->range_low = range.low;
-  batch->range_high = range.high;
-  batch->emitted_at = crash_time;
-  batch->promoted = true;
-  for (KeyId key : keys) {
-    ReplicaKeySlice* slice = st.replicas->slices.Find(key);
-    for (Residual& r : slice->queries) {
-      batch->queries.push_back(HandoffQuery{key, StoredQuery{std::move(r), {}}});
-    }
-    for (TupleRef& t : slice->tuples) {
-      batch->tuples.push_back(HandoffTuple{key, std::move(t)});
-    }
-    for (AlttEntry& e : slice->altt) {
-      batch->altt.push_back(HandoffAltt{key, std::move(e)});
-    }
-    if (slice->rate_current > 0 || slice->rate_previous > 0) {
-      batch->rates.push_back(RateSlice{key, slice->rate_epoch,
-                                       slice->rate_current,
-                                       slice->rate_previous});
-    }
-    // Extract, don't copy: a second orphaned range overlapping this key
-    // (correlated kills) must not promote the slice twice, and an older
-    // in-flight mirror from the dead owner must not resurrect it.
-    slice->Clear();
-    slice->version = crash_time;
-  }
-  if (batch->empty()) return;
-  ++replication_.promotions_emitted;
-  // The new owner IS the survivor: the promotion is a self-addressed
-  // handoff, so the install passes (probe pre-existing state, re-arm ALTT
-  // expiries, merge rates, re-forward keys that moved again) are exactly
-  // the graceful-leave code path.
-  transport_->SendDirect(owner, owner,
-                         MessageTask(StateHandoff{std::move(batch)}));
-}
-
-void RJoinEngine::RefreshReplicasAround(const dht::NodeId& position) {
-  // Nodes whose successor window shifted: the owner at `position` and its
-  // replication-1 alive ring predecessors. (The owner's own keys may also
-  // have changed hands — its mirrors refresh as installs arrive; this
-  // barrier-time pass re-aims the stale topology.)
-  dht::NodeIndex at = network_->SuccessorOf(position);
-  const size_t hops =
-      std::min<size_t>(config_.replication - 1, network_->num_alive() - 1);
-  MirrorAllKeys(at);
-  for (size_t i = 0; i < hops; ++i) {
-    at = network_->node(at).predecessor();
-    MirrorAllKeys(at);
-  }
-}
-
-void RJoinEngine::MirrorAllKeys(dht::NodeIndex node) {
-  NodeState& st = state(node);
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  std::vector<KeyId> keys;
-  st.queries.ForEach([&](KeyId key, const BucketList&) { keys.push_back(key); });
-  st.tuples.ForEach([&](KeyId key, const TupleBucket&) { keys.push_back(key); });
-  st.altt.ForEach([&](KeyId key, const BucketList&) { keys.push_back(key); });
-  st.rates.AppendTrackedKeys(&keys);
-  std::erase_if(keys, [&](KeyId k) {
-    return network_->SuccessorOf(interner_->ring_id(k)) != node;
-  });
-  SortKeysByRingId(&keys, *interner_);
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  if (keys.empty()) return;
-  for (KeyId key : keys) MirrorKey(node, key);
-}
-
-void RJoinEngine::GrowForNode(dht::NodeIndex index) {
-  RJOIN_CHECK(index == states_.size())
-      << "joins must append node indices sequentially";
-  states_.push_back(std::make_unique<NodeState>(config_.ric_epoch));
-  crashed_.push_back(0);
-  metrics_->Resize(states_.size());
-  if (runtime_ != nullptr) {
-    runtime_->GrowNodes(states_.size());
-    frozen_rates_.emplace_back();
-    planner_seq_.push_back(0);
-  }
-}
-
-void RJoinEngine::EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
-                              const dht::KeyRange& range) {
-  NodeState& st = state(from);
-  auto batch = std::make_unique<HandoffBatch>();
-  batch->from = from;
-  batch->range_low = range.low;
-  batch->range_high = range.high;
-  batch->emitted_at = Now();
-
-  // Every structure emits its keys in ring order (KeysInRangeSorted), not
-  // KeyIdMap iteration order — the batch layout is a pure function of the
-  // key set, so runs with different intern histories still hand off
-  // identically.
-  for (KeyId key :
-       KeysInRangeSorted(st.queries, *interner_, range.low, range.high)) {
-    BucketList* bucket = st.queries.Find(key);
-    while (bucket->head != kNil) {
-      StoredQuery& sq = st.query_pool.at(bucket->head).value;
-      if (sq.residual.origin()->spec().distinct) {
-        st.distinct_fingerprints.Erase(StoredFingerprint(key, sq.residual));
-      }
-      Metrics().RemoveStore(from);
-      batch->queries.push_back(HandoffQuery{key, std::move(sq)});
-      BucketUnlink(st.query_pool, *bucket, kNil, bucket->head);
-    }
-  }
-
-  for (KeyId key :
-       KeysInRangeSorted(st.tuples, *interner_, range.low, range.high)) {
-    TupleBucket* bucket = st.tuples.Find(key);
-    TupleBucketForEach(st.tuple_chunks, *bucket, [&](TupleRef& t) {
-      Metrics().RemoveStore(from);
-      batch->tuples.push_back(HandoffTuple{key, std::move(t)});
-    });
-    TupleBucketClear(st.tuple_chunks, *bucket);
-  }
-
-  const uint64_t now = Now();
-  for (KeyId key :
-       KeysInRangeSorted(st.altt, *interner_, range.low, range.high)) {
-    BucketList* dq = st.altt.Find(key);
-    while (dq->head != kNil) {
-      AlttEntry& e = st.altt_pool.at(dq->head).value;
-      // Already-expired entries are dropped here instead of moved — the
-      // old owner's amortized expiry would have discarded them anyway.
-      if (e.expires >= now) {
-        batch->altt.push_back(HandoffAltt{key, std::move(e)});
-      }
-      BucketUnlink(st.altt_pool, *dq, kNil, dq->head);
-    }
-  }
-
-  if (config_.migrate_ric_on_churn) {
-    std::vector<KeyId> rate_keys;
-    st.rates.AppendTrackedKeys(&rate_keys);
-    std::erase_if(rate_keys, [&](KeyId k) {
-      return !range.Contains(interner_->ring_id(k));
-    });
-    SortKeysByRingId(&rate_keys, *interner_);
-    for (KeyId key : rate_keys) {
-      RateSlice s{key, 0, 0, 0};
-      if (st.rates.ExtractKey(key, &s.epoch, &s.current, &s.previous)) {
-        batch->rates.push_back(s);
-      }
-    }
-  }
-
-  if (batch->empty()) return;  // Nothing to move: no message.
-  churn_.handoff_messages += 1;
-  churn_.handoff_queries += batch->queries.size();
-  churn_.handoff_tuples += batch->tuples.size();
-  churn_.handoff_altt += batch->altt.size();
-  churn_.handoff_rates += batch->rates.size();
-  churn_.handoff_bytes += batch->ApproxBytes();
-  transport_->SendDirect(from, to, MessageTask(StateHandoff{std::move(batch)}));
-}
-
-void RJoinEngine::InstallQuery(dht::NodeIndex self, KeyId key,
-                               StoredQuery&& sq) {
-  NodeState& st = state(self);
-  Metrics().AddQpl(self);
-  const bool distinct = sq.residual.origin()->spec().distinct;
-  uint64_t fp = 0;
-  if (distinct) {
-    fp = StoredFingerprint(key, sq.residual);
-    // An identical rewritten query was already indexed at the new owner
-    // after the responsibility change: set semantics keep one copy.
-    if (st.distinct_fingerprints.Contains(fp)) return;
-  }
-
-  // Probe the destination's pre-handoff state, exactly as OnEval probes on
-  // arrival: tuples that landed here after the ring change but before this
-  // batch are precisely the ones the moved query has never seen. (Moved
-  // tuples of the same batch install after the queries, so they are not
-  // visible here — those pairs were already evaluated at the old owner.)
-  ProbeStoredState(self, key, sq);
-
-  if (IsExpired(sq.residual)) return;  // Window closed while in flight.
-  if (distinct) st.distinct_fingerprints.Insert(fp);
-  AppendStoredQuery(st, st.queries[key], std::move(sq));
-  Metrics().AddStore(self);
-}
-
-void RJoinEngine::OnStateHandoff(dht::NodeIndex self, StateHandoff& msg) {
-  RJOIN_CHECK(msg.batch != nullptr);
-  HandoffBatch& b = *msg.batch;
-  NodeState& st = state(self);
-  const uint64_t now = Now();
-
-  // Chained churn: responsibility for part of the batch may have moved
-  // again while it was in flight. Split those slices toward their current
-  // owners (std::map: deterministic emission order) and install the rest.
-  std::map<dht::NodeIndex, std::unique_ptr<HandoffBatch>> reforward;
-  auto owner_of = [&](KeyId key) {
-    return network_->SuccessorOf(interner_->ring_id(key));
-  };
-  auto slice_for = [&](dht::NodeIndex owner) -> HandoffBatch& {
-    std::unique_ptr<HandoffBatch>& slot = reforward[owner];
-    if (slot == nullptr) {
-      slot = std::make_unique<HandoffBatch>();
-      slot->from = self;
-      slot->range_low = b.range_low;
-      slot->range_high = b.range_high;
-      slot->emitted_at = b.emitted_at;  // recovery measures the full trip
-      slot->promoted = b.promoted;  // a split promotion is still a promotion
-    }
-    return *slot;
-  };
-
-  // Keys whose slice at `self` this batch changes (installed records or
-  // merged rates): each is re-mirrored below, so replicas catch up with the
-  // post-handoff owner — and a promoted slice that was itself stale gets
-  // overwritten at the next mutation of the key.
-  std::vector<KeyId>& touched = InstalledKeyBuffer();
-  uint64_t installed_records = 0;
-
-  // Snapshot pre-handoff stored-query counts for every key that receives
-  // tuples or ALTT entries: the moved-tuple trigger walk below must visit
-  // pre-existing queries only (moved queries append behind them in pass A,
-  // and every moved-vs-moved pair was already evaluated at the old owner).
-  // Counts are offset by one so 0 still means "key not snapshotted".
-  KeyIdMap<uint32_t> pre_counts;
-  auto pre_count_of = [&](KeyId key) -> uint32_t* {
-    uint32_t* n = pre_counts.Find(key);
-    return n != nullptr && *n > 0 ? n : nullptr;
-  };
-  auto snapshot_key = [&](KeyId key) {
-    uint32_t& slot = pre_counts[key];
-    if (slot > 0) return;
-    uint32_t n = 0;
-    if (const BucketList* bucket = st.queries.Find(key)) {
-      for (uint32_t cur = bucket->head; cur != kNil;
-           cur = st.query_pool.at(cur).next) {
-        ++n;
-      }
-    }
-    slot = n + 1;
-  };
-  for (const HandoffTuple& ht : b.tuples) {
-    if (owner_of(ht.key) == self) snapshot_key(ht.key);
-  }
-  for (const HandoffAltt& ha : b.altt) {
-    if (owner_of(ha.key) == self) snapshot_key(ha.key);
-  }
-
-  // The limited trigger walk shared by moved tuples and moved ALTT
-  // entries: visit at most *budget pre-existing stored queries; drops
-  // shrink the budget so later moved tuples stay inside the pre-existing
-  // prefix.
-  auto trigger_preexisting = [&](KeyId key, const TupleRef& tuple) {
-    uint32_t* budget = pre_count_of(key);
-    BucketList* bucket = st.queries.Find(key);
-    if (budget == nullptr || bucket == nullptr) return;
-    uint32_t remaining = *budget - 1;  // counts are stored offset by one
-    uint32_t prev = kNil;
-    uint32_t cur = bucket->head;
-    while (cur != kNil && remaining > 0) {
-      --remaining;
-      StoredQuery& sq = st.query_pool.at(cur).value;
-      const uint32_t next = st.query_pool.at(cur).next;
-      if (WindowClosedByTuple(sq.residual, tuple)) {
-        // A dropped pre-existing entry shrinks the prefix later moved
-        // tuples may visit (the offset keeps the slot >= 1).
-        DropStoredQuery(self, key, *bucket, prev, cur);
-        --(*budget);
-        cur = next;
-        continue;
-      }
-      TryTrigger(self, sq, key, tuple);
-      prev = cur;
-      cur = next;
-    }
-  };
-
-  // Pass A: stored queries (probe pre-handoff tuples/ALTT, then store).
-  for (HandoffQuery& hq : b.queries) {
-    const dht::NodeIndex owner = owner_of(hq.key);
-    if (owner != self) {
-      slice_for(owner).queries.push_back(std::move(hq));
-      continue;
-    }
-    touched.push_back(hq.key);
-    ++installed_records;
-    InstallQuery(self, hq.key, std::move(hq.sq));
-  }
-
-  // Pass B: value-level tuples (trigger pre-existing queries, then store).
-  for (HandoffTuple& ht : b.tuples) {
-    const dht::NodeIndex owner = owner_of(ht.key);
-    if (owner != self) {
-      slice_for(owner).tuples.push_back(std::move(ht));
-      continue;
-    }
-    Metrics().AddQpl(self);
-    touched.push_back(ht.key);
-    ++installed_records;
-    trigger_preexisting(ht.key, ht.tuple);
-    {
-      stats::AllocScope plane(stats::AllocPlane::kTuple);
-      TupleBucketAppend(st.tuple_chunks, st.tuples[ht.key],
-                        std::move(ht.tuple));
-    }
-    Metrics().AddStore(self);
-  }
-
-  // Pass C: ALTT entries — same walk, then append with the ORIGINAL
-  // absolute expiry, so the Section 4 Delta bound spans the handoff.
-  for (HandoffAltt& ha : b.altt) {
-    const dht::NodeIndex owner = owner_of(ha.key);
-    if (owner != self) {
-      slice_for(owner).altt.push_back(std::move(ha));
-      continue;
-    }
-    if (ha.entry.expires < now) continue;  // Delta elapsed in flight.
-    Metrics().AddQpl(self);
-    touched.push_back(ha.key);
-    ++installed_records;
-    trigger_preexisting(ha.key, ha.entry.tuple);
-    stats::AllocScope plane(stats::AllocPlane::kTuple);
-    BucketList& dq = st.altt[ha.key];
-    const uint32_t idx = BucketAppend(st.altt_pool, dq);
-    st.altt_pool.at(idx).value = std::move(ha.entry);
-  }
-
-  // Rates merge (the migrate half of the RIC policy; see docs/churn.md).
-  for (const RateSlice& rs : b.rates) {
-    const dht::NodeIndex owner = owner_of(rs.key);
-    if (owner != self) {
-      slice_for(owner).rates.push_back(rs);
-      continue;
-    }
-    touched.push_back(rs.key);
-    if (b.promoted) ++installed_records;
-    st.rates.MergeSlice(rs.key, rs.epoch, rs.current, rs.previous);
-  }
-
-  ChurnSinkCounters counters;
-  const uint64_t trip_ticks = now >= b.emitted_at ? now - b.emitted_at : 0;
-  if (b.promoted) {
-    // Promotions ride the handoff plane but count on their own ledger:
-    // their latency is the crash-recovery metric, not handoff recovery.
-    ReplicaSinkCounters promo;
-    promo.promotions_installed = 1;
-    promo.promoted_records = installed_records;
-    AddReplicaCounters(promo);
-    RecordPromotionTicks(trip_ticks);
-  } else {
-    counters.installed = 1;
-    counters.recovery_ticks = trip_ticks;
-  }
-  for (auto& [owner, slice] : reforward) {
-    ++counters.reforwarded;
-    transport_->SendDirect(self, owner,
-                           MessageTask(StateHandoff{std::move(slice)}));
-  }
-  AddChurnCounters(counters);
-
-  // Replication: the moved (or promoted) slices now live here — overwrite
-  // the stale copies at this node's successors so a later crash promotes
-  // current data, not the pre-churn snapshot.
-  if (config_.replication > 1 && !touched.empty()) {
-    SortKeysByRingId(&touched, *interner_);
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    for (KeyId key : touched) MirrorKey(self, key);
-    touched.clear();
-  }
-}
-
-void RJoinEngine::AddChurnCounters(const ChurnSinkCounters& delta) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
-  if (shard >= 0) {
-    ChurnSinkCounters& c = sinks_[shard].churn;
-    c.installed += delta.installed;
-    c.reforwarded += delta.reforwarded;
-    c.recovery_ticks += delta.recovery_ticks;
-    c.forwarded += delta.forwarded;
-    return;
-  }
-  churn_.handoffs_installed += delta.installed;
-  churn_.handoffs_reforwarded += delta.reforwarded;
-  churn_.handoff_recovery_ticks += delta.recovery_ticks;
-  churn_.forwarded_messages += delta.forwarded;
-}
-
-void RJoinEngine::AddReplicaCounters(const ReplicaSinkCounters& delta) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
-  if (shard >= 0) {
-    ReplicaSinkCounters& c = sinks_[shard].replica;
-    c.updates += delta.updates;
-    c.keys += delta.keys;
-    c.bytes += delta.bytes;
-    c.promotions_installed += delta.promotions_installed;
-    c.promoted_records += delta.promoted_records;
-    c.answers_lost += delta.answers_lost;
-    return;
-  }
-  replication_.replica_updates += delta.updates;
-  replication_.replica_keys += delta.keys;
-  replication_.replica_bytes += delta.bytes;
-  replication_.promotions_installed += delta.promotions_installed;
-  replication_.promoted_records += delta.promoted_records;
-  replication_.answers_lost += delta.answers_lost;
-}
-
-void RJoinEngine::RecordPromotionTicks(uint64_t ticks) {
-  const int shard =
-      runtime_ != nullptr ? runtime::ShardedRuntime::CurrentShard() : -1;
-  if (shard >= 0) {
-    sinks_[shard].promotion_ticks.emplace_back(runtime_->CurrentEventKey(),
-                                               ticks);
-    return;
-  }
-  promotion_recovery_ticks_.push_back(ticks);
-}
-
-void RJoinEngine::MirrorKey(dht::NodeIndex self, KeyId key) {
-  std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
-  network_->SuccessorsOf(self, config_.replication - 1, &succs);
-  if (succs.empty()) return;
-
-  // Mirror traffic lives on its own allocation plane: the zero-alloc
-  // budget of the publish/rewrite hot paths is accounted with replication
-  // off, where this function is never reached.
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  NodeState& st = state(self);
-  const uint64_t now = Now();
-  ReplicaSinkCounters counters;
-  for (dht::NodeIndex dst : succs) {
-    // One REPLACE snapshot per successor. Batches are move-only (pooled
-    // records inside), so each target gets its own copy of the slice.
-    auto batch = std::make_unique<HandoffBatch>();
-    batch->from = self;
-    batch->emitted_at = now;
-    batch->replica_keys.push_back(key);
-    if (const BucketList* bucket = st.queries.Find(key)) {
-      for (uint32_t cur = bucket->head; cur != kNil;
-           cur = st.query_pool.at(cur).next) {
-        const StoredQuery& sq = st.query_pool.at(cur).value;
-        // Bare residual copies: the ProjectionSet is not mirrored (see
-        // core/replication.h for why promotion stays answer-correct).
-        batch->queries.push_back(
-            HandoffQuery{key, StoredQuery{sq.residual, {}}});
-      }
-    }
-    if (TupleBucket* bucket = st.tuples.Find(key)) {
-      TupleBucketForEach(st.tuple_chunks, *bucket, [&](TupleRef& t) {
-        batch->tuples.push_back(HandoffTuple{key, t});
-      });
-    }
-    if (const BucketList* dq = st.altt.Find(key)) {
-      for (uint32_t cur = dq->head; cur != kNil;
-           cur = st.altt_pool.at(cur).next) {
-        const AlttEntry& e = st.altt_pool.at(cur).value;
-        if (e.expires < now) continue;  // Owner would expire it anyway.
-        batch->altt.push_back(HandoffAltt{key, AlttEntry{e.tuple, e.expires}});
-      }
-    }
-    RateSlice rs{key, 0, 0, 0};
-    if (st.rates.PeekKey(key, &rs.epoch, &rs.current, &rs.previous)) {
-      batch->rates.push_back(rs);
-    }
-    ++counters.updates;
-    ++counters.keys;
-    counters.bytes += batch->ApproxBytes();
-    transport_->SendDirect(self, dst,
-                           MessageTask(ReplicaUpdate{std::move(batch)}));
-  }
-  AddReplicaCounters(counters);
-}
-
-void RJoinEngine::OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg) {
-  RJOIN_CHECK(msg.batch != nullptr);
-  if (!crashed_.empty() && crashed_[self]) return;  // Mail to the dead.
-  HandoffBatch& b = *msg.batch;
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  NodeState& st = state(self);
-  if (st.replicas == nullptr) st.replicas = std::make_unique<ReplicaStore>();
-
-  // REPLACE the listed slices, version-guarded: a refresh emitted after a
-  // churn barrier must not be overwritten by a slower pre-churn mirror.
-  // A mirror for a key this node *owns* is stale by construction (mirrors
-  // target the owner's successors, never the owner): ownership moved here
-  // after the mirror was emitted — e.g. a crashed owner's last update
-  // landing after the promotion — and installing it would resurrect
-  // records the promotion already extracted.
-  for (KeyId key : b.replica_keys) {
-    if (network_->SuccessorOf(interner_->ring_id(key)) == self) continue;
-    ReplicaKeySlice& slice = st.replicas->slices[key];
-    if (slice.version > b.emitted_at) continue;
-    slice.Clear();
-    slice.version = b.emitted_at;
-  }
-  auto slice_of = [&](KeyId key) -> ReplicaKeySlice* {
-    if (network_->SuccessorOf(interner_->ring_id(key)) == self) return nullptr;
-    ReplicaKeySlice* s = st.replicas->slices.Find(key);
-    return s != nullptr && s->version == b.emitted_at ? s : nullptr;
-  };
-  for (HandoffQuery& hq : b.queries) {
-    if (ReplicaKeySlice* s = slice_of(hq.key)) {
-      s->queries.push_back(std::move(hq.sq.residual));
-    }
-  }
-  for (HandoffTuple& ht : b.tuples) {
-    if (ReplicaKeySlice* s = slice_of(ht.key)) {
-      s->tuples.push_back(std::move(ht.tuple));
-    }
-  }
-  for (HandoffAltt& ha : b.altt) {
-    if (ReplicaKeySlice* s = slice_of(ha.key)) {
-      s->altt.push_back(std::move(ha.entry));
-    }
-  }
-  for (const RateSlice& rs : b.rates) {
-    if (ReplicaKeySlice* s = slice_of(rs.key)) {
-      s->rate_epoch = rs.epoch;
-      s->rate_current = rs.current;
-      s->rate_previous = rs.previous;
-    }
-  }
-}
-
-void RJoinEngine::WriteThroughRateReplica(dht::NodeIndex owner, KeyId key,
-                                          uint64_t now) {
-  RateSlice rs{key, 0, 0, 0};
-  if (!state(owner).rates.PeekKey(key, &rs.epoch, &rs.current, &rs.previous)) {
-    return;
-  }
-  std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
-  network_->SuccessorsOf(owner, config_.replication - 1, &succs);
-  for (dht::NodeIndex dst : succs) {
-    NodeState& st = state(dst);
-    if (st.replicas == nullptr) st.replicas = std::make_unique<ReplicaStore>();
-    ReplicaKeySlice& slice = st.replicas->slices[key];
-    slice.rate_epoch = rs.epoch;
-    slice.rate_current = rs.current;
-    slice.rate_previous = rs.previous;
-    slice.version = std::max(slice.version, now);
-  }
-}
 
 bool RJoinEngine::IsExpired(const Residual& r) const {
   if (r.IsInputQuery()) return false;  // Continuous queries never expire.
@@ -1428,12 +627,6 @@ bool RJoinEngine::WindowClosedByTuple(const Residual& r,
   return pos / w.size > r.window_min() / w.size;
 }
 
-uint64_t RJoinEngine::StoredFingerprint(KeyId key, const Residual& r) {
-  uint64_t h = r.ContentFingerprint64();
-  h ^= static_cast<uint64_t>(key) + 1;
-  h *= kFnvPrime;
-  return h;
-}
 
 void RJoinEngine::DropStoredQuery(dht::NodeIndex self, KeyId key,
                                   BucketList& bucket, uint32_t prev_idx,
@@ -1970,6 +1163,19 @@ void RJoinEngine::SweepWindows() {
   const bool drop_tuples = config_.gc_stored_tuples &&
                            num_unwindowed_queries_ == 0 &&
                            num_windowed_queries_ > 0 && max_window_span_ > 0;
+  // A stored tuple older than the largest window can never combine with
+  // future tuples for any live (all-windowed) query. Conservative: use both
+  // clocks; drop only if out of range for the larger of the two
+  // interpretations.
+  const uint64_t now = Now();
+  auto tuple_expired = [&](const TupleRef& t) {
+    const uint64_t now_seq = global_seq_ + 1;
+    const bool time_out =
+        now > t->pub_time && now - t->pub_time + 1 > max_window_span_;
+    const bool seq_out =
+        now_seq > t->seq_no && now_seq - t->seq_no + 1 > max_window_span_;
+    return time_out && seq_out;
+  };
   for (dht::NodeIndex n = 0; n < states_.size(); ++n) {
     NodeState& st = *states_[n];
     st.queries.ForEach([&](KeyId key, BucketList& bucket) {
@@ -1986,20 +1192,7 @@ void RJoinEngine::SweepWindows() {
       }
     });
     if (!drop_tuples) continue;
-    // A stored tuple older than the largest window can never combine with
-    // future tuples for any live (all-windowed) query.
     st.tuples.ForEach([&](KeyId, TupleBucket& bucket) {
-      auto expired = [&](const TupleRef& t) {
-        // Conservative: use both clocks; drop only if out of range for the
-        // larger of the two interpretations.
-        const uint64_t now_time = Now();
-        const uint64_t now_seq = global_seq_ + 1;
-        const bool time_out = now_time > t->pub_time &&
-                              now_time - t->pub_time + 1 > max_window_span_;
-        const bool seq_out =
-            now_seq > t->seq_no && now_seq - t->seq_no + 1 > max_window_span_;
-        return time_out && seq_out;
-      };
       // Rebuild compactly through a reusable scratch: survivors move out
       // (no refcount traffic), the chunks recycle through the pool's
       // freelist, and the survivors move back in — so every chunk stays
@@ -2007,7 +1200,7 @@ void RJoinEngine::SweepWindows() {
       static thread_local std::vector<TupleRef> survivors;
       survivors.clear();
       TupleBucketForEach(st.tuple_chunks, bucket, [&](TupleRef& t) {
-        if (expired(t)) {
+        if (tuple_expired(t)) {
           Metrics().RemoveStore(n);
         } else {
           survivors.push_back(std::move(t));
@@ -2033,23 +1226,13 @@ void RJoinEngine::SweepWindows() {
   // is a point-in-time snapshot, and without this pass a promotion after a
   // sweep would resurrect records the owner already dropped. (Queries are
   // additionally re-filtered at install, so this is hygiene + memory.)
-  const uint64_t now = Now();
   for (auto& stp : states_) {
-    NodeState& st = *stp;
-    if (st.replicas == nullptr) continue;
-    st.replicas->slices.ForEach([&](KeyId, ReplicaKeySlice& slice) {
+    if (stp->replicas == nullptr) continue;
+    stp->replicas->slices.ForEach([&](KeyId, ReplicaStore::Entry& entry) {
+      KeySlice& slice = entry.slice;
       std::erase_if(slice.queries,
                     [&](const Residual& r) { return IsExpired(r); });
-      if (drop_tuples) {
-        std::erase_if(slice.tuples, [&](const TupleRef& t) {
-          const uint64_t now_seq = global_seq_ + 1;
-          const bool time_out = now > t->pub_time &&
-                                now - t->pub_time + 1 > max_window_span_;
-          const bool seq_out = now_seq > t->seq_no &&
-                               now_seq - t->seq_no + 1 > max_window_span_;
-          return time_out && seq_out;
-        });
-      }
+      if (drop_tuples) std::erase_if(slice.tuples, tuple_expired);
       std::erase_if(slice.altt,
                     [&](const AlttEntry& e) { return e.expires < now; });
     });

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/handoff.h"
 #include "core/interner.h"
 #include "core/key.h"
 #include "core/key_map.h"
@@ -16,6 +15,7 @@
 #include "core/node_state.h"
 #include "core/planner.h"
 #include "core/residual.h"
+#include "core/slice_codec.h"
 #include "dht/chord_network.h"
 #include "dht/load_balancer.h"
 #include "dht/transport.h"
@@ -91,15 +91,6 @@ struct EngineConfig {
   /// subsystem (no replica stores, no mirror traffic — the single
   /// `replication > 1` branch is the entire cost when off).
   uint32_t replication = 1;
-
-  /// RIC migration policy on churn (docs/churn.md): true moves the old
-  /// owner's RateTracker buckets along with the key range (observations
-  /// keep aging as if they had never moved); false resets them — the new
-  /// owner starts counting from zero and RIC decisions degrade for up to
-  /// two epochs. Candidate-table entries never migrate under either
-  /// policy: they are cached hints that expire and self-heal through the
-  /// post-churn forwarding rule.
-  bool migrate_ric_on_churn = true;
 
   /// Seed for the engine's internal randomness (kRandom policy).
   uint64_t seed = 42;
@@ -296,9 +287,9 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// barriers (driver) — all shard-count-invariant.
   struct ReplicationStats {
     uint64_t replica_updates = 0;  ///< ReplicaUpdate envelopes sent
-    uint64_t replica_keys = 0;     ///< key slices shipped across all updates
+    uint64_t replica_slices = 0;   ///< key slices shipped across all updates
     uint64_t replica_bytes = 0;    ///< approximate mirrored payload bytes
-    uint64_t promotions_emitted = 0;    ///< promoted batches sent at crashes
+    uint64_t promotions_emitted = 0;    ///< promotion notices at crashes
     uint64_t promotions_installed = 0;  ///< promoted batches installed
     uint64_t promoted_records = 0;      ///< records recovered from replicas
     uint64_t answers_lost = 0;  ///< answers addressed to crashed owners
@@ -390,6 +381,9 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   void OnRicReply(dht::NodeIndex self, const RicReply& msg);
 
   // ---- churn plumbing (docs/churn.md) ----
+  // Defined in core/membership.cc, except the slice extraction and install
+  // code (Install, InstallQuery, PromoteReplicas, OnReplicaUpdate), which
+  // lives in core/slice_codec.cc.
 
   /// One staged topology mutation, applied at a round barrier in EventKey
   /// order (immediately on the serial path).
@@ -414,16 +408,17 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// barriers.
   struct ReplicaSinkCounters {
     uint64_t updates = 0;
-    uint64_t keys = 0;
+    uint64_t slices = 0;
     uint64_t bytes = 0;
     uint64_t promotions_installed = 0;
     uint64_t promoted_records = 0;
     uint64_t answers_lost = 0;
   };
 
-  /// Wraps a churn task into an envelope delivered to `dst` at `when`.
-  Status ScheduleChurnEvent(sim::SimTime when, dht::NodeIndex dst,
-                            MessageTask task);
+  /// Wraps `task` into an envelope delivered to `dst` at `when` (clamped
+  /// to now); called outside worker threads.
+  void ScheduleLocalEvent(sim::SimTime when, dht::NodeIndex dst,
+                          MessageTask task);
   /// kNodeJoin/kNodeLeave handler body: stage on a worker, apply otherwise.
   void StageOrApplyChurn(ChurnOp op);
   void ApplyChurn(const ChurnOp& op);
@@ -432,17 +427,18 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// Silent failure (docs/failures.md): crashes `node` plus the next
   /// `take_successors` alive ring successors — all removed before any
   /// recovery starts, so a correlated kill of a whole replica set really
-  /// loses the data — then, per orphaned range, promotes the surviving
-  /// replica slices at the new owner. Barrier/serial-path only.
+  /// loses the data — then, per orphaned range, schedules the promotion of
+  /// the surviving replica slices at the new owner one tick after the
+  /// victim's last message can land. Barrier/serial-path only.
   void ApplyCrash(dht::NodeIndex node, uint32_t take_successors);
   /// Destroys a crashed node's entire NodeState payload (stored queries,
   /// tuples, ALTT entries, replica store) with metric and pool-balance
   /// bookkeeping — nothing is emitted; the data is simply gone.
   void DropAllState(dht::NodeIndex node);
-  /// Extracts the replica slices `owner` holds for keys in `range` into one
-  /// promoted HandoffBatch stamped with the crash time and self-delivers it
-  /// as a StateHandoff (the install passes of a graceful handoff double as
-  /// the promotion path). Extracted slices are cleared, so overlapping
+  /// The promotion notice of a crash at `crash_time`: moves the replica
+  /// slices `owner` holds for keys in `range` into one promote batch and
+  /// installs it (the install of a graceful handoff doubles as the
+  /// promotion path). Extracted slices are cleared, so overlapping
   /// correlated ranges never promote a slice twice.
   void PromoteReplicas(dht::NodeIndex owner, const dht::KeyRange& range,
                        uint64_t crash_time);
@@ -451,32 +447,34 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// its replication-1 alive predecessors) — called at the barrier that
   /// applies a churn op, so replica placement tracks the new topology.
   void RefreshReplicasAround(const dht::NodeId& position);
-  /// Ships `node`'s full owned key set to its current successor set as one
-  /// multi-key ReplicaUpdate per successor.
+  /// Re-mirrors every key `node` owns to its current successor set
+  /// (MirrorKey per key, in ring order).
   void MirrorAllKeys(dht::NodeIndex node);
-  /// Mirrors `key`'s full current slice at `self` (stored queries as bare
-  /// residuals, value tuples, live ALTT entries, the rate bucket) to the
-  /// next replication-1 successors — one single-key ReplicaUpdate each.
+  /// Mirrors `key`'s full current slice at `self` to the next
+  /// replication-1 successors — one single-slice ReplicaUpdate each.
   /// Callers gate on config_.replication > 1.
   void MirrorKey(dht::NodeIndex self, KeyId key);
-  /// kReplicaUpdate handler: REPLACES the listed key slices in `self`'s
+  /// kReplicaUpdate handler: REPLACES the batch's key slices in `self`'s
   /// replica store, version-guarded by the batch's emission time.
   void OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg);
   /// Warmup write-through: copies `owner`'s rate bucket for `key` straight
   /// into its successors' replica slices (no messages — stream history
   /// models traffic that already happened). Driver-phase only.
   void WriteThroughRateReplica(dht::NodeIndex owner, KeyId key, uint64_t now);
+  /// `node`'s replica store, created on first use.
+  ReplicaStore& Replicas(dht::NodeIndex node);
   /// Grows every per-node table for a freshly joined node `index`.
   void GrowForNode(dht::NodeIndex index);
   /// Extracts `range` from `from`'s NodeState (ring-id order) and ships it
   /// to `to` as one StateHandoff. Serial-phase / serial-path only.
   void EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
                    const dht::KeyRange& range);
-  /// kStateHandoff handler: installs the slices `self` is responsible for
-  /// (probing against pre-handoff local state only — moved-vs-moved pairs
-  /// were already evaluated at the old owner) and re-forwards slices whose
-  /// responsibility moved again while the batch was in flight.
-  void OnStateHandoff(dht::NodeIndex self, StateHandoff& msg);
+  /// kStateHandoff handler and promotion body: installs the slices `self`
+  /// is responsible for (probing against pre-handoff local state only —
+  /// moved-vs-moved pairs were already evaluated at the old owner) and
+  /// re-forwards slices whose responsibility moved again while the batch
+  /// was in flight.
+  void Install(dht::NodeIndex self, SliceBatch& batch);
   /// OnEval's storage logic for a migrated stored query: keeps the moved
   /// ProjectionSet, probes only pre-handoff tuples/ALTT entries.
   void InstallQuery(dht::NodeIndex self, KeyId key, StoredQuery&& sq);
@@ -529,13 +527,6 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// Section 5's per-trigger validity rule: the incoming tuple `t` proves
   /// the residual's window has closed (t is newer than the window allows).
   bool WindowClosedByTuple(const Residual& r, const TupleRef& t) const;
-
-  /// Fingerprint for DISTINCT set semantics of a stored residual: the
-  /// interned key id folded into the residual's 64-bit content fingerprint
-  /// (bound value ids, which are a per-process bijection with values).
-  /// Two different residuals can collide in 64 bits (probability
-  /// ~n^2/2^64) — the ProjectionSet trade, applied here too.
-  static uint64_t StoredFingerprint(KeyId key, const Residual& r);
 
   /// Unlinks the pool node `idx` (whose predecessor in the bucket list is
   /// `prev_idx`, or kNil when idx is the head) and frees it, with metric +

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <mutex>
 
-#include "core/handoff.h"
+#include "core/slice_codec.h"
 #include "stats/alloc_tracker.h"
 #include "util/logging.h"
 
@@ -41,11 +41,11 @@ const char* MessageKindName(MessageKind kind) {
   return "unknown";
 }
 
-// StateHandoff's special members live here so HandoffBatch can stay an
+// StateHandoff's special members live here so SliceBatch can stay an
 // incomplete type in messages.h (every Envelope user would otherwise pull
 // in the whole node-state surface).
 StateHandoff::StateHandoff() = default;
-StateHandoff::StateHandoff(std::unique_ptr<HandoffBatch> b)
+StateHandoff::StateHandoff(std::unique_ptr<SliceBatch> b)
     : batch(std::move(b)) {}
 StateHandoff::StateHandoff(StateHandoff&&) noexcept = default;
 StateHandoff& StateHandoff::operator=(StateHandoff&&) noexcept = default;
@@ -53,7 +53,7 @@ StateHandoff::~StateHandoff() = default;
 
 // ReplicaUpdate boxes the same batch type for the same reason.
 ReplicaUpdate::ReplicaUpdate() = default;
-ReplicaUpdate::ReplicaUpdate(std::unique_ptr<HandoffBatch> b)
+ReplicaUpdate::ReplicaUpdate(std::unique_ptr<SliceBatch> b)
     : batch(std::move(b)) {}
 ReplicaUpdate::ReplicaUpdate(ReplicaUpdate&&) noexcept = default;
 ReplicaUpdate& ReplicaUpdate::operator=(ReplicaUpdate&&) noexcept = default;

@@ -135,39 +135,39 @@ struct NodeLeave {
   dht::NodeIndex node = dht::kInvalidNode;
 };
 
-/// Live churn, transfer half: the NodeState slices of a moved key range,
-/// boxed so the rare churn path does not grow every pooled Envelope. The
-/// batch definition lives in core/handoff.h; the out-of-line special
-/// members keep HandoffBatch an incomplete type here.
-struct HandoffBatch;
+/// Live churn, transfer half: the NodeState slices of a moved key range
+/// (or a promotion re-forwarded after chained churn), boxed so the rare
+/// churn path does not grow every pooled Envelope. The batch definition
+/// lives in core/slice_codec.h; the out-of-line special members keep
+/// SliceBatch an incomplete type here.
+struct SliceBatch;
 struct StateHandoff {
   StateHandoff();
-  explicit StateHandoff(std::unique_ptr<HandoffBatch> b);
+  explicit StateHandoff(std::unique_ptr<SliceBatch> b);
   StateHandoff(StateHandoff&&) noexcept;
   StateHandoff& operator=(StateHandoff&&) noexcept;
   StateHandoff(const StateHandoff&) = delete;
   StateHandoff& operator=(const StateHandoff&) = delete;
   ~StateHandoff();
 
-  std::unique_ptr<HandoffBatch> batch;
+  std::unique_ptr<SliceBatch> batch;
 };
 
-/// Successor-list replication: the full current slice of every key listed
-/// in the batch's `replica_keys`, pushed by the owner to one of its next
-/// r-1 successors after a state-mutating delivery. Reuses the boxed
-/// HandoffBatch wire shape (docs/failures.md), so the pooled Envelope does
-/// not grow for the replication path either. A receiver REPLACES its
-/// replica slice for each listed key — deltas and deletions never travel.
+/// Successor-list replication: the full current slice of a key, pushed by
+/// the owner to one of its next r-1 successors after a state-mutating
+/// delivery, as a boxed mirror-kind SliceBatch (docs/failures.md). A
+/// receiver REPLACES its replica slice for each key in the batch — deltas
+/// and deletions never travel.
 struct ReplicaUpdate {
   ReplicaUpdate();
-  explicit ReplicaUpdate(std::unique_ptr<HandoffBatch> b);
+  explicit ReplicaUpdate(std::unique_ptr<SliceBatch> b);
   ReplicaUpdate(ReplicaUpdate&&) noexcept;
   ReplicaUpdate& operator=(ReplicaUpdate&&) noexcept;
   ReplicaUpdate(const ReplicaUpdate&) = delete;
   ReplicaUpdate& operator=(const ReplicaUpdate&) = delete;
   ~ReplicaUpdate();
 
-  std::unique_ptr<HandoffBatch> batch;
+  std::unique_ptr<SliceBatch> batch;
 };
 
 /// Failure injection: node `node` is killed silently — no goodbye, no

@@ -1,6 +1,6 @@
 #include "core/node_state.h"
 
-#include "core/replication.h"
+#include "core/slice_codec.h"
 
 namespace rjoin::core {
 

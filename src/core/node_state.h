@@ -201,6 +201,18 @@ struct StoredQuery {
   ProjectionSet seen_projections;
 };
 
+/// Fingerprint for DISTINCT set semantics of a stored residual: the
+/// interned key id folded into the residual's 64-bit content fingerprint
+/// (bound value ids, which are a per-process bijection with values). Two
+/// different residuals can collide in 64 bits (probability ~n^2/2^64) —
+/// the ProjectionSet trade, applied here too.
+inline uint64_t StoredFingerprint(KeyId key, const Residual& r) {
+  uint64_t h = r.ContentFingerprint64();
+  h ^= static_cast<uint64_t>(key) + 1;
+  h *= 1099511628211ull;  // FNV-1a prime
+  return h;
+}
+
 /// Entry of the attribute-level tuple table (ALTT, Section 4): a tuple kept
 /// for Delta time units so that an input query delayed in transit still
 /// meets it.
@@ -312,7 +324,7 @@ void BucketUnlink(SlabPool<T>& pool, BucketList& bucket, uint32_t prev_idx,
   pool.Free(idx);
 }
 
-struct ReplicaStore;  // core/replication.h
+struct ReplicaStore;  // core/slice_codec.h
 
 /// All RJoin state of one network node. Buckets are keyed by interned
 /// KeyId; a node only ever receives keys it is the successor of. Stored
@@ -352,8 +364,8 @@ class NodeState {
   CandidateTable ct;
 
   /// Replica slices held for ring predecessors under successor-list
-  /// replication, created on the first ReplicaUpdate this node receives.
-  /// ReplicaStore stays an incomplete type here (core/replication.h) so the
+  /// replication, created on first use (a mirror or a pending promotion).
+  /// ReplicaStore stays an incomplete type here (core/slice_codec.h) so the
   /// replication surface is out of every NodeState user; null whenever
   /// replication is off — the feature's whole cost when disabled.
   std::unique_ptr<ReplicaStore> replicas;

@@ -169,6 +169,8 @@ class Transport : public core::EnvelopeDispatcher {
   void DispatchEnvelope(core::EnvelopeRef env) override;
 
   ChordNetwork* network() { return network_; }
+  /// The latency model's bound delta on a single hop.
+  sim::SimTime max_delay() const { return latency_->max_delay(); }
   sim::Simulator* simulator() { return simulator_; }
   stats::MetricsRegistry* metrics() { return metrics_; }
 

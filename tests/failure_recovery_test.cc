@@ -15,13 +15,18 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/interner.h"
 #include "core/node_state.h"
 #include "core/slab_pool.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
+#include "runtime/shard_router.h"
+#include "runtime/sharded_runtime.h"
 #include "sim/latency.h"
 #include "sim/simulator.h"
 #include "sql/evaluator.h"
@@ -40,18 +45,50 @@ constexpr uint32_t kNilA = core::SlabPool<core::AlttEntry>::kNil;
 
 // ----------------------------------------------------- serial crashes ----
 
-/// Minimal serial harness with a replication knob: explicit crashes between
+/// Minimal harness with a replication knob: explicit crashes between
 /// publishes, oracle checks at the end (mirrors churn_runtime_test's
-/// SerialHarness).
+/// SerialHarness). `shards` > 0 runs the engine on the sharded runtime;
+/// 0 keeps the serial simulator. Every hop takes `hop_delay` ticks.
 struct FaultHarness {
-  explicit FaultHarness(size_t nodes, uint32_t replication, uint64_t seed = 7)
+  explicit FaultHarness(size_t nodes, uint32_t replication, uint64_t seed = 7,
+                        uint32_t shards = 0, sim::SimTime hop_delay = 1)
       : network(dht::ChordNetwork::Create(nodes, seed)),
-        latency(1),
+        latency(hop_delay),
         metrics(network->num_total()),
         transport(network.get(), &simulator, &latency, &metrics,
                   Rng(seed * 31)),
         engine(Config(replication), &catalog, network.get(), &transport,
-               &simulator, &metrics) {}
+               &simulator, &metrics) {
+    if (shards > 0) {
+      runtime = std::make_unique<runtime::ShardedRuntime>(
+          runtime::ShardedRuntime::Options{
+              .shards = shards, .lookahead = runtime::AutoRoundWidth(latency)},
+          network->num_total(), &metrics);
+      router = std::make_unique<runtime::ShardRouter>(runtime.get(), seed * 31);
+      transport.set_router(router.get());
+      engine.AttachRuntime(runtime.get());
+    }
+  }
+
+  void Run() {
+    if (runtime != nullptr) {
+      runtime->Run();
+    } else {
+      simulator.Run();
+    }
+  }
+
+  void RunUntil(sim::SimTime t) {
+    if (runtime != nullptr) {
+      runtime->RunUntil(t);
+    } else {
+      simulator.RunUntil(t);
+    }
+  }
+
+  sim::SimTime Now() const {
+    return runtime != nullptr ? runtime->Now() : simulator.Now();
+  }
 
   static core::EngineConfig Config(uint32_t replication) {
     core::EngineConfig cfg;
@@ -71,24 +108,29 @@ struct FaultHarness {
   uint64_t Submit(dht::NodeIndex owner, const std::string& text) {
     auto id = engine.SubmitQuerySql(owner, text);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
-    simulator.Run();
+    Run();
     return *id;
   }
 
-  void Publish(dht::NodeIndex node, const std::string& rel,
-               std::vector<int64_t> ints) {
+  /// Publishes without running the event loop.
+  void PublishAsync(dht::NodeIndex node, const std::string& rel,
+                    const std::vector<int64_t>& ints) {
     std::vector<sql::Value> vals;
     vals.reserve(ints.size());
     for (int64_t v : ints) vals.push_back(sql::Value::Int(v));
-    auto t = engine.PublishTuple(node, rel, std::move(vals));
+    auto t = engine.PublishTuple(node, rel, vals);
     EXPECT_TRUE(t.ok()) << t.status().ToString();
-    simulator.Run();
+  }
+
+  void Publish(dht::NodeIndex node, const std::string& rel,
+               const std::vector<int64_t>& ints) {
+    PublishAsync(node, rel, ints);
+    Run();
   }
 
   void Crash(dht::NodeIndex victim, uint32_t take_successors = 0) {
-    ASSERT_TRUE(
-        engine.ScheduleCrash(simulator.Now(), victim, take_successors).ok());
-    simulator.Run();
+    ASSERT_TRUE(engine.ScheduleCrash(Now(), victim, take_successors).ok());
+    Run();
   }
 
   std::vector<std::string> OracleRows(uint64_t qid) {
@@ -120,6 +162,10 @@ struct FaultHarness {
   stats::MetricsRegistry metrics;
   dht::Transport transport;
   core::RJoinEngine engine;
+  // Declared last so worker threads join (and shard heaps drain into
+  // still-live pools) before the rest of the stack is destroyed.
+  std::unique_ptr<runtime::ShardedRuntime> runtime;
+  std::unique_ptr<runtime::ShardRouter> router;
 };
 
 TEST(SerialCrashTest, ReplicatedCrashesLoseNothing) {
@@ -312,7 +358,7 @@ void ExpectIdentical(const RunOutput& a, const RunOutput& b) {
   EXPECT_EQ(a.churn.forwarded_messages, b.churn.forwarded_messages);
   // The replication ledger is part of the determinism surface.
   EXPECT_EQ(a.replication.replica_updates, b.replication.replica_updates);
-  EXPECT_EQ(a.replication.replica_keys, b.replication.replica_keys);
+  EXPECT_EQ(a.replication.replica_slices, b.replication.replica_slices);
   EXPECT_EQ(a.replication.replica_bytes, b.replication.replica_bytes);
   EXPECT_EQ(a.replication.promotions_emitted,
             b.replication.promotions_emitted);
@@ -556,30 +602,55 @@ std::map<core::KeyId, std::string> StateDigest(const core::RJoinEngine& eng,
   return digest;
 }
 
-TEST(PromotionPropertyTest, CrashedStateEqualsGracefulHandoffState) {
-  // Property: for the same seeded operation script, crashing a node under
-  // r=2 leaves the network in exactly the state a graceful leave of that
-  // node would have — per key: same StoredQuery set, same tuple multiset,
-  // same live ALTT expiries, same rate buckets. Run the crash script and
-  // its graceful twin in lockstep on a fixed virtual clock and compare
-  // every alive node's digest.
+/// When a crash strikes relative to the victim's traffic.
+enum class CrashTiming {
+  /// Every cascade has drained: the victim's replicas are current.
+  kDrained,
+  /// Right after a tuple store at the victim (applied one tick later at
+  /// the latest): the mirror of that store is still in flight.
+  kMirrorInFlight,
+};
+
+/// Property: for the same seeded operation script, crashing a node under
+/// r=2 leaves the network in exactly the state a graceful leave of that
+/// node would have — per key: same StoredQuery set, same tuple multiset,
+/// same live ALTT expiries, same rate buckets. Runs the crash script and
+/// its graceful twin in lockstep on a fixed virtual clock and compares
+/// every alive node's digest.
+void ExpectCrashEqualsGracefulLeave(CrashTiming timing, uint32_t shards,
+                                    sim::SimTime hop_delay = 1) {
+  SCOPED_TRACE("shards=" + std::to_string(shards) +
+               " hop_delay=" + std::to_string(hop_delay));
   constexpr size_t kNodes = 20;
   constexpr uint64_t kStep = 48;  // drains every cascade before the next op
-  FaultHarness crashed(kNodes, /*replication=*/2, /*seed=*/13);
-  FaultHarness graceful(kNodes, /*replication=*/2, /*seed=*/13);
+  FaultHarness crashed(kNodes, /*replication=*/2, /*seed=*/13, shards,
+                       hop_delay);
+  FaultHarness graceful(kNodes, /*replication=*/2, /*seed=*/13, shards,
+                        hop_delay);
 
   auto both_submit = [&](dht::NodeIndex owner, const std::string& text) {
     crashed.Submit(owner, text);
     graceful.Submit(owner, text);
   };
-  auto both_publish = [&](dht::NodeIndex node, const std::string& rel,
-                          std::vector<int64_t> ints) {
-    crashed.Publish(node, rel, ints);
-    graceful.Publish(node, rel, std::move(ints));
-  };
   auto advance_to = [&](uint64_t t) {
-    crashed.simulator.RunUntil(t);
-    graceful.simulator.RunUntil(t);
+    crashed.RunUntil(t);
+    graceful.RunUntil(t);
+  };
+  auto kill = [&](dht::NodeIndex v) {
+    ASSERT_TRUE(crashed.engine.ScheduleCrash(crashed.Now(), v).ok());
+    ASSERT_TRUE(graceful.engine.ScheduleLeave(graceful.Now(), v).ok());
+    crashed.Run();
+    graceful.Run();
+  };
+  // The node storing the value-level copy of `rel`.A = a.
+  auto value_owner = [&](const std::string& rel, int64_t a) {
+    core::KeyInterner& in = core::KeyInterner::Global();
+    const core::KeyId key = in.InternValue(rel, "A", sql::Value::Int(a));
+    return std::make_pair(key, crashed.network->SuccessorOf(in.ring_id(key)));
+  };
+  auto stored_tuples = [&](dht::NodeIndex n, core::KeyId key) -> uint32_t {
+    const core::TupleBucket* b = crashed.engine.state_of(n).tuples.Find(key);
+    return b == nullptr ? 0 : b->size;
   };
 
   both_submit(0, "SELECT R.B, S.C FROM R, S WHERE R.A=S.A");
@@ -588,31 +659,44 @@ TEST(PromotionPropertyTest, CrashedStateEqualsGracefulHandoffState) {
   advance_to(kStep);
 
   Rng rng(515);
-  const std::vector<dht::NodeIndex> victims = {5, 9, 13};
-  size_t next_victim = 0;
+  const std::vector<dht::NodeIndex> drained_victims = {5, 9, 13};
+  size_t kills = 0;
   const char* rels[] = {"R", "S", "P"};
   uint64_t t = kStep;
   for (int step = 0; step < 18; ++step) {
     const dht::NodeIndex publisher = rng.NextBounded(3);
     const std::string rel = rels[rng.NextBounded(3)];
-    const int64_t a = 5 + static_cast<int64_t>(rng.NextBounded(4));
+    int64_t a = 5 + static_cast<int64_t>(rng.NextBounded(4));
     const int64_t b = 20 + static_cast<int64_t>(rng.NextBounded(3));
     const int64_t c = 30 + static_cast<int64_t>(rng.NextBounded(5));
-    both_publish(publisher, rel, {a, b, c});
-    if (step % 6 == 5 && next_victim < victims.size()) {
-      const dht::NodeIndex v = victims[next_victim++];
-      ASSERT_TRUE(
-          crashed.engine.ScheduleCrash(crashed.simulator.Now(), v).ok());
-      ASSERT_TRUE(
-          graceful.engine.ScheduleLeave(graceful.simulator.Now(), v).ok());
-      crashed.simulator.Run();
-      graceful.simulator.Run();
+    const bool kill_step = step % 6 == 5 && kills < 3;
+    if (kill_step && timing == CrashTiming::kMirrorInFlight) {
+      // Pick a value whose value-level store lands on a node that owns no
+      // query and publishes nothing, step until the store has run, and
+      // crash that node at once: its mirror of the store is still in
+      // flight when the crash is applied.
+      auto [key, victim] = value_owner(rel, a);
+      while (victim <= 2) std::tie(key, victim) = value_owner(rel, ++a);
+      const uint32_t before = stored_tuples(victim, key);
+      crashed.PublishAsync(publisher, rel, {a, b, c});
+      graceful.PublishAsync(publisher, rel, {a, b, c});
+      uint64_t now = crashed.Now();
+      while (stored_tuples(victim, key) == before) {
+        ASSERT_LT(now, t + kStep) << "the store never reached node " << victim;
+        advance_to(++now);
+      }
+      kill(victim);
+      ++kills;
+    } else {
+      crashed.Publish(publisher, rel, {a, b, c});
+      graceful.Publish(publisher, rel, {a, b, c});
+      if (kill_step) kill(drained_victims[kills++]);
     }
     t += kStep;
     advance_to(t);
   }
-  ASSERT_EQ(crashed.engine.churn_stats().crashes_applied, victims.size());
-  ASSERT_EQ(graceful.engine.churn_stats().leaves_applied, victims.size());
+  ASSERT_EQ(crashed.engine.churn_stats().crashes_applied, 3u);
+  ASSERT_EQ(graceful.engine.churn_stats().leaves_applied, 3u);
   EXPECT_GT(crashed.engine.replication_stats().promotions_installed, 0u);
 
   // Same splice, same survivors.
@@ -635,6 +719,68 @@ TEST(PromotionPropertyTest, CrashedStateEqualsGracefulHandoffState) {
     EXPECT_EQ(st.altt_pool.acquired() - st.altt_pool.released(),
               st.altt_pool.live());
   }
+}
+
+TEST(PromotionPropertyTest, CrashedStateEqualsGracefulHandoffState) {
+  for (uint32_t shards : {0u, 1u, 4u, 7u}) {
+    ExpectCrashEqualsGracefulLeave(CrashTiming::kDrained, shards);
+  }
+}
+
+TEST(PromotionPropertyTest, CrashWithMirrorInFlightEqualsGracefulHandoff) {
+  // Regression: the promotion used to copy the survivor's replicas at the
+  // crash barrier and drop the victim's last, still-in-flight mirror.
+  for (uint32_t shards : {0u, 1u, 4u, 7u}) {
+    ExpectCrashEqualsGracefulLeave(CrashTiming::kMirrorInFlight, shards);
+  }
+  // A zero-delay model: the sharded runtime defers every cross-node hop
+  // to its one-tick lookahead.
+  ExpectCrashEqualsGracefulLeave(CrashTiming::kMirrorInFlight, /*shards=*/4,
+                                 /*hop_delay=*/0);
+}
+
+TEST(PromotionPropertyTest, ZeroDelayCrashInTheStoreTickKeepsTheStore) {
+  // A store and a crash at the victim in the same tick, the crash applied
+  // at the closing rendezvous of RunUntil(tick): the store's mirror leaves
+  // at the crash time itself and, deferred to the one-tick lookahead,
+  // lands one tick past the zero-delay model's maximum. The survivor
+  // (ring successor) runs before the victim within a tick, so a notice due
+  // then would promote before the mirror lands.
+  FaultHarness h(16, /*replication=*/2, /*seed=*/7, /*shards=*/4,
+                 /*hop_delay=*/0);
+  h.Submit(0, "SELECT R.B, S.C FROM R, S WHERE R.A=S.A");
+  core::KeyInterner& in = core::KeyInterner::Global();
+  // A value key owned by a node whose ring neighbours both have lower
+  // indices: the predecessor publishes (one direct hop, runs before the
+  // victim's crash event) and the successor survives.
+  core::KeyId key = core::kInvalidKeyId;
+  dht::NodeIndex victim = 0, pred = 0, succ = 0;
+  int64_t a = 0;
+  for (; a < 4096; ++a) {
+    key = in.InternValue("R", "A", sql::Value::Int(a));
+    victim = h.network->SuccessorOf(in.ring_id(key));
+    pred = h.network->node(victim).predecessor();
+    succ = h.network->node(victim).successor();
+    if (pred < victim && succ < victim) break;
+  }
+  ASSERT_LT(a, 4096);
+  auto stored = [&](dht::NodeIndex n) -> uint32_t {
+    const core::TupleBucket* b = h.engine.state_of(n).tuples.Find(key);
+    return b == nullptr ? 0 : b->size;
+  };
+
+  h.PublishAsync(pred, "R", {a, 1, 2});
+  const sim::SimTime t0 = h.Now();
+  h.RunUntil(t0);
+  ASSERT_EQ(stored(victim), 0u);
+  ASSERT_TRUE(h.engine.ScheduleCrash(t0 + 1, victim).ok());
+  h.RunUntil(t0 + 1);
+  ASSERT_EQ(h.engine.churn_stats().crashes_applied, 1u);
+  ASSERT_EQ(h.Now(), t0 + 1) << "the crash must close the store's tick";
+  h.Run();
+
+  EXPECT_EQ(h.engine.replication_stats().promotions_installed, 1u);
+  EXPECT_EQ(stored(succ), 1u) << "the last mirror of the store was lost";
 }
 
 }  // namespace
