@@ -198,6 +198,11 @@ int main() {
     json.AddScalar("answers_per_sec_replication_off",
                    answers_per_sec_series[0]);
     json.AddScalar("answers_per_sec_r2", answers_per_sec_series[1]);
+    // The throughput cost of r=2 over replication off, as a factor.
+    json.AddScalar("replication_slowdown",
+                   answers_per_sec_series[1] > 0.0
+                       ? answers_per_sec_series[0] / answers_per_sec_series[1]
+                       : 0.0);
   });
   json.Write();
   return 0;

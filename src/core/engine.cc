@@ -556,9 +556,15 @@ void RJoinEngine::HandleMessage(dht::NodeIndex self, MessageTask&& task) {
                                 .take_successors = m.take_successors});
       return;
     }
-    case MessageKind::kStateHandoff:
-      Install(self, *task.state_handoff().batch);
+    case MessageKind::kStateHandoff: {
+      SliceBatch& batch = *task.state_handoff().batch;
+      if (batch.kind == SliceKind::kMirror) {
+        OnReplicaBase(self, batch);
+      } else {
+        Install(self, batch);
+      }
       return;
+    }
     case MessageKind::kReplicaUpdate:
       OnReplicaUpdate(self, task.replica_update());
       return;
@@ -839,7 +845,9 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
     }
   }
 
-  if (interner_->level(msg.key) == Level::kValue) {
+  const bool value_level = interner_->level(msg.key) == Level::kValue;
+  uint64_t expires = 0;
+  if (value_level) {
     // Procedure 2: value-level tuples are stored for future rewritten
     // queries. Storing a TupleRef is one u32 handle copy plus a refcount;
     // only bucket growth allocates (charged to the tuple plane).
@@ -855,9 +863,8 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
     stats::AllocScope plane(stats::AllocPlane::kTuple);
     BucketList& dq = st.altt[msg.key];
     const uint64_t now = Now();
-    const uint64_t expires = altt_delta_ > UINT64_MAX - now
-                                 ? UINT64_MAX
-                                 : now + altt_delta_;  // Saturating.
+    expires = altt_delta_ > UINT64_MAX - now ? UINT64_MAX
+                                             : now + altt_delta_;  // Saturating.
     const uint32_t idx = BucketAppend(st.altt_pool, dq);
     st.altt_pool.at(idx).value = AlttEntry{msg.tuple, expires};
     Metrics().AddAlttStore(self);
@@ -870,8 +877,23 @@ void RJoinEngine::OnNewTuple(dht::NodeIndex self, TuplePublish& msg) {
   }
 
   // Replication: every tuple delivery mutates the key's slice (at least
-  // the rate bucket) — push the refreshed snapshot to the successors.
-  if (config_.replication > 1) MirrorKey(self, msg.key);
+  // the rate bucket) — mirror the stored tuple or ALTT entry, if any, with
+  // the key's rate triple.
+  if (config_.replication > 1) {
+    ReplicaUpdate delta;
+    delta.key = msg.key;
+    if (value_level) {
+      delta.record = MirrorRecord::kTuple;
+      delta.tuple = std::move(msg.tuple);
+    } else if (config_.enable_altt) {
+      delta.record = MirrorRecord::kAltt;
+      delta.tuple = std::move(msg.tuple);
+      delta.expires = expires;
+    }
+    st.rates.PeekKey(msg.key, &delta.rate_epoch, &delta.rate_current,
+                     &delta.rate_previous);
+    MirrorDelta(self, std::move(delta));
+  }
 }
 
 void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
@@ -904,13 +926,19 @@ void RJoinEngine::OnEval(dht::NodeIndex self, KeyId key, Residual&& residual,
     stats::AllocScope plane(stats::AllocPlane::kResidual);
     st.distinct_fingerprints.Insert(fp);
   }
-  AppendStoredQuery(st, st.queries[key], std::move(sq));
+  StoredQuery& stored = AppendStoredQuery(st, st.queries[key], std::move(sq));
   Metrics().AddStore(self);
   RecordKeyLoad(key);
 
-  // Replication: the slice gained a stored residual. (Probe-and-forget
-  // paths above change nothing durable, so they skip the mirror.)
-  if (config_.replication > 1) MirrorKey(self, key);
+  // Replication: the slice gained a stored residual — mirror that one.
+  // (Probe-and-forget paths above change nothing durable, so they skip it.)
+  if (config_.replication > 1) {
+    ReplicaUpdate delta;
+    delta.key = key;
+    delta.record = MirrorRecord::kQuery;
+    delta.query = stored.residual;
+    MirrorDelta(self, std::move(delta));
+  }
 }
 
 void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
@@ -1176,7 +1204,10 @@ void RJoinEngine::SweepWindows() {
         now_seq > t->seq_no && now_seq - t->seq_no + 1 > max_window_span_;
     return time_out && seq_out;
   };
-  for (dht::NodeIndex n = 0; n < states_.size(); ++n) {
+  // Without a windowed query no residual expires and no tuple drops: only
+  // the replicas' ALTT entries, which a finite Delta ages, are left to age.
+  const bool windowed = num_windowed_queries_ > 0;
+  for (dht::NodeIndex n = 0; windowed && n < states_.size(); ++n) {
     NodeState& st = *states_[n];
     st.queries.ForEach([&](KeyId key, BucketList& bucket) {
       uint32_t prev = kNil;
@@ -1222,19 +1253,26 @@ void RJoinEngine::SweepWindows() {
     });
   }
   if (config_.replication <= 1) return;
-  // Replica slices age by the same rules, locally (no messages): a mirror
-  // is a point-in-time snapshot, and without this pass a promotion after a
-  // sweep would resurrect records the owner already dropped. (Queries are
+  // Replica entries age by the same rules, locally (no messages): deltas
+  // only ever add records, and without this pass a promotion after a sweep
+  // would resurrect records the owner already dropped. (Queries are
   // additionally re-filtered at install, so this is hygiene + memory.)
   for (auto& stp : states_) {
     if (stp->replicas == nullptr) continue;
-    stp->replicas->slices.ForEach([&](KeyId, ReplicaStore::Entry& entry) {
-      KeySlice& slice = entry.slice;
-      std::erase_if(slice.queries,
-                    [&](const Residual& r) { return IsExpired(r); });
-      if (drop_tuples) std::erase_if(slice.tuples, tuple_expired);
-      std::erase_if(slice.altt,
-                    [&](const AlttEntry& e) { return e.expires < now; });
+    stp->replicas->entries.ForEach([&](KeyId, ReplicaStore::Entry& entry) {
+      if (windowed) {
+        std::erase_if(entry.queries, [&](const Versioned<Residual>& r) {
+          return IsExpired(r.record);
+        });
+      }
+      if (drop_tuples) {
+        std::erase_if(entry.tuples, [&](const Versioned<TupleRef>& r) {
+          return tuple_expired(r.record);
+        });
+      }
+      std::erase_if(entry.altt, [&](const Versioned<AlttEntry>& r) {
+        return r.record.expires < now;
+      });
     });
   }
 }

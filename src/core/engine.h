@@ -85,7 +85,7 @@ struct EngineConfig {
   uint32_t attr_replication = 1;
 
   /// Successor-list replication factor r (docs/failures.md): every
-  /// state-mutating delivery at a key's owner mirrors the key's full slice
+  /// state-mutating delivery at a key's owner mirrors the record it stored
   /// to the next r-1 ring successors as a ReplicaUpdate, and a silent crash
   /// promotes the surviving slices at the successor. 1 disables the whole
   /// subsystem (no replica stores, no mirror traffic — the single
@@ -436,10 +436,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// bookkeeping — nothing is emitted; the data is simply gone.
   void DropAllState(dht::NodeIndex node);
   /// The promotion notice of a crash at `crash_time`: moves the replica
-  /// slices `owner` holds for keys in `range` into one promote batch and
-  /// installs it (the install of a graceful handoff doubles as the
-  /// promotion path). Extracted slices are cleared, so overlapping
-  /// correlated ranges never promote a slice twice.
+  /// records `owner` holds for keys in `range`, versioned up to the crash,
+  /// into one promote batch and installs it (the install of a graceful
+  /// handoff doubles as the promotion path). Taken records leave the
+  /// store, so overlapping correlated ranges never promote one twice.
   void PromoteReplicas(dht::NodeIndex owner, const dht::KeyRange& range,
                        uint64_t crash_time);
   /// Re-mirrors the full owned key set of every node whose replica target
@@ -447,19 +447,32 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// its replication-1 alive predecessors) — called at the barrier that
   /// applies a churn op, so replica placement tracks the new topology.
   void RefreshReplicasAround(const dht::NodeId& position);
-  /// Re-mirrors every key `node` owns to its current successor set
-  /// (MirrorKey per key, in ring order).
+  /// Sends a base of every key `node` owns to its current successor set
+  /// (MirrorBase per key, in ring order).
   void MirrorAllKeys(dht::NodeIndex node);
-  /// Mirrors `key`'s full current slice at `self` to the next
-  /// replication-1 successors — one single-slice ReplicaUpdate each.
+  /// Sends `key`'s full current slice at `self`, as a REPLACE base, to the
+  /// next replication-1 successors — one mirror-kind StateHandoff each.
+  /// Only where ownership or the successor window changes: Install and
+  /// MirrorAllKeys. Callers gate on config_.replication > 1.
+  void MirrorBase(dht::NodeIndex self, KeyId key);
+  /// Sends the one record a mutating delivery stored (`delta.key`,
+  /// `delta.record` and its payload set by the caller) to the next
+  /// replication-1 successors, stamped with `self` and a fresh version.
   /// Callers gate on config_.replication > 1.
-  void MirrorKey(dht::NodeIndex self, KeyId key);
-  /// kReplicaUpdate handler: REPLACES the batch's key slices in `self`'s
-  /// replica store, version-guarded by the batch's emission time.
+  void MirrorDelta(dht::NodeIndex self, ReplicaUpdate&& delta);
+  /// kReplicaUpdate handler: applies the delta exactly once unless the
+  /// held base covers it.
   void OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg);
+  /// Handler of a mirror-kind StateHandoff: replaces the held records
+  /// older than the base.
+  void OnReplicaBase(dht::NodeIndex self, SliceBatch& batch);
+  /// False when a mirror of `key` from `from` is stale at `self`: the
+  /// receiver crashed, or it owns the key and the sender is alive.
+  bool AcceptsMirror(dht::NodeIndex self, KeyId key, dht::NodeIndex from);
   /// Warmup write-through: copies `owner`'s rate bucket for `key` straight
-  /// into its successors' replica slices (no messages — stream history
-  /// models traffic that already happened). Driver-phase only.
+  /// into its successors' replica entries as a versioned rate triple (no
+  /// messages — stream history models traffic that already happened).
+  /// Driver-phase only.
   void WriteThroughRateReplica(dht::NodeIndex owner, KeyId key, uint64_t now);
   /// `node`'s replica store, created on first use.
   ReplicaStore& Replicas(dht::NodeIndex node);

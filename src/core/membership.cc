@@ -280,7 +280,7 @@ void RJoinEngine::MirrorAllKeys(dht::NodeIndex node) {
   for (KeyId key : SortedStateKeys(state(node), *interner_, [&](KeyId k) {
          return network_->SuccessorOf(interner_->ring_id(k)) == node;
        })) {
-    MirrorKey(node, key);
+    MirrorBase(node, key);
   }
 }
 
@@ -304,6 +304,7 @@ void RJoinEngine::EmitHandoff(dht::NodeIndex from, dht::NodeIndex to,
   batch->from = from;
   batch->range = range;
   batch->emitted_at = Now();
+  batch->seq = st.mirror_seq;
   // Keys travel in ring order, not KeyIdMap iteration order — the batch
   // layout is a pure function of the key set, so runs with different
   // intern histories still hand off identically.
@@ -375,31 +376,48 @@ void RJoinEngine::RecordPromotionTicks(uint64_t ticks) {
   promotion_recovery_ticks_.push_back(ticks);
 }
 
-void RJoinEngine::MirrorKey(dht::NodeIndex self, KeyId key) {
+void RJoinEngine::MirrorBase(dht::NodeIndex self, KeyId key) {
   std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
   network_->SuccessorsOf(self, config_.replication - 1, &succs);
   if (succs.empty()) return;
 
-  // Mirror traffic lives on its own allocation plane: the zero-alloc
-  // budget of the publish/rewrite hot paths is accounted with replication
-  // off, where this function is never reached.
+  // Bases go out on churn only; like handoff batches, they are boxed and
+  // allocate outside the per-record planes.
   stats::AllocScope plane(stats::AllocPlane::kOther);
+  NodeState& st = state(self);
   const uint64_t now = Now();
+  const uint64_t seq = ++st.mirror_seq;
   ReplicaSinkCounters counters;
   for (dht::NodeIndex dst : succs) {
-    // One REPLACE snapshot per successor: batches are move-only (pooled
-    // records inside), so each target gets its own copy of the slice.
+    // One snapshot per successor: batches are move-only (pooled records
+    // inside), so each target gets its own copy of the slice.
     auto batch = std::make_unique<SliceBatch>();
     batch->from = self;
     batch->emitted_at = now;
+    batch->seq = seq;
     batch->kind = SliceKind::kMirror;
-    batch->slices.push_back(Extract(state(self), key, ExtractMode::kCopy, now));
+    batch->slices.push_back(Extract(st, key, ExtractMode::kCopy, now));
     ++counters.updates;
     ++counters.slices;
     counters.bytes += batch->ApproxBytes();
     transport_->SendDirect(self, dst,
-                           MessageTask(ReplicaUpdate{std::move(batch)}));
+                           MessageTask(StateHandoff{std::move(batch)}));
   }
+  AddReplicaCounters(counters);
+}
+
+void RJoinEngine::MirrorDelta(dht::NodeIndex self, ReplicaUpdate&& delta) {
+  std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
+  network_->SuccessorsOf(self, config_.replication - 1, &succs);
+  if (succs.empty()) return;
+  delta.from = self;
+  delta.version = MirrorVersion{Now(), ++state(self).mirror_seq};
+  const ReplicaSinkCounters counters{
+      .updates = succs.size(), .bytes = succs.size() * delta.ApproxBytes()};
+  for (size_t i = 0; i + 1 < succs.size(); ++i) {
+    transport_->SendDirect(self, succs[i], MessageTask(ReplicaUpdate(delta)));
+  }
+  transport_->SendDirect(self, succs.back(), MessageTask(std::move(delta)));
   AddReplicaCounters(counters);
 }
 
@@ -409,13 +427,11 @@ void RJoinEngine::WriteThroughRateReplica(dht::NodeIndex owner, KeyId key,
   if (!state(owner).rates.PeekKey(key, &epoch, &current, &previous)) return;
   std::vector<dht::NodeIndex>& succs = ReplicaTargetBuffer();
   network_->SuccessorsOf(owner, config_.replication - 1, &succs);
+  // A rate triple like a delta's: it wins over older triples and leaves
+  // the base alone, so no delta the write lacks counts as covered.
+  const MirrorVersion version{now, ++state(owner).mirror_seq};
   for (dht::NodeIndex dst : succs) {
-    ReplicaStore::Entry& entry = Replicas(dst).slices[key];
-    entry.slice.key = key;
-    entry.slice.rate_epoch = epoch;
-    entry.slice.rate_current = current;
-    entry.slice.rate_previous = previous;
-    entry.version = std::max(entry.version, now);
+    Replicas(dst).entries[key].OfferRate(version, epoch, current, previous);
   }
 }
 

@@ -51,13 +51,22 @@ StateHandoff::StateHandoff(StateHandoff&&) noexcept = default;
 StateHandoff& StateHandoff::operator=(StateHandoff&&) noexcept = default;
 StateHandoff::~StateHandoff() = default;
 
-// ReplicaUpdate boxes the same batch type for the same reason.
-ReplicaUpdate::ReplicaUpdate() = default;
-ReplicaUpdate::ReplicaUpdate(std::unique_ptr<SliceBatch> b)
-    : batch(std::move(b)) {}
-ReplicaUpdate::ReplicaUpdate(ReplicaUpdate&&) noexcept = default;
-ReplicaUpdate& ReplicaUpdate::operator=(ReplicaUpdate&&) noexcept = default;
-ReplicaUpdate::~ReplicaUpdate() = default;
+uint64_t ReplicaUpdate::ApproxBytes() const {
+  uint64_t bytes = 24;  // header: key + sender + version
+  switch (record) {
+    case MirrorRecord::kQuery:
+      return bytes + 64;
+    case MirrorRecord::kTuple:
+      bytes += 32 + 8 * tuple->arity;
+      break;
+    case MirrorRecord::kAltt:
+      bytes += 40 + 8 * tuple->arity;
+      break;
+    case MirrorRecord::kRate:
+      break;
+  }
+  return bytes + 32;  // the rate triple
+}
 
 namespace {
 

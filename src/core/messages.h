@@ -44,8 +44,8 @@ enum class MessageKind : uint8_t {
   kControl,        ///< runtime plumbing: timers, deferred driver work, tests
   kNodeJoin,       ///< churn: a node joining the ring at a given position
   kNodeLeave,      ///< churn: a voluntary, graceful departure
-  kStateHandoff,   ///< churn: NodeState slices moving to a new owner
-  kReplicaUpdate,  ///< replication: a refreshed per-key slice for a successor
+  kStateHandoff,   ///< churn: NodeState slices moving to a new owner or replica
+  kReplicaUpdate,  ///< replication: one stored record for a successor
   kNodeCrash,      ///< failure injection: a silent kill — no handoff
 };
 
@@ -136,10 +136,10 @@ struct NodeLeave {
 };
 
 /// Live churn, transfer half: the NodeState slices of a moved key range
-/// (or a promotion re-forwarded after chained churn), boxed so the rare
-/// churn path does not grow every pooled Envelope. The batch definition
-/// lives in core/slice_codec.h; the out-of-line special members keep
-/// SliceBatch an incomplete type here.
+/// (or a promotion re-forwarded after chained churn, or a replica base),
+/// boxed so the rare churn path does not grow every pooled Envelope. The
+/// batch definition lives in core/slice_codec.h; the out-of-line special
+/// members keep SliceBatch an incomplete type here.
 struct SliceBatch;
 struct StateHandoff {
   StateHandoff();
@@ -153,21 +153,50 @@ struct StateHandoff {
   std::unique_ptr<SliceBatch> batch;
 };
 
-/// Successor-list replication: the full current slice of a key, pushed by
-/// the owner to one of its next r-1 successors after a state-mutating
-/// delivery, as a boxed mirror-kind SliceBatch (docs/failures.md). A
-/// receiver REPLACES its replica slice for each key in the batch — deltas
-/// and deletions never travel.
-struct ReplicaUpdate {
-  ReplicaUpdate();
-  explicit ReplicaUpdate(std::unique_ptr<SliceBatch> b);
-  ReplicaUpdate(ReplicaUpdate&&) noexcept;
-  ReplicaUpdate& operator=(ReplicaUpdate&&) noexcept;
-  ReplicaUpdate(const ReplicaUpdate&) = delete;
-  ReplicaUpdate& operator=(const ReplicaUpdate&) = delete;
-  ~ReplicaUpdate();
+/// Version of a replica record: the emission time, then the emitting
+/// owner's mirror sequence number. The sequence is a Lamport clock — an
+/// install moves the installer's counter past the sender's — so the
+/// versions of one key's records order its history across owners even when
+/// a zero-delay hop hands the key over within one tick (docs/failures.md).
+struct MirrorVersion {
+  uint64_t at = 0;
+  uint64_t seq = 0;
 
-  std::unique_ptr<SliceBatch> batch;
+  friend auto operator<=>(const MirrorVersion&,
+                          const MirrorVersion&) = default;
+};
+
+/// The record a ReplicaUpdate carries.
+enum class MirrorRecord : uint8_t {
+  kQuery,  ///< a residual OnEval stored
+  kTuple,  ///< a value-level tuple OnNewTuple stored, plus the rate triple
+  kAltt,   ///< an ALTT entry OnNewTuple stored, plus the rate triple
+  kRate,   ///< an arrival that stored no record: the rate triple alone
+};
+
+/// Successor-list replication (docs/failures.md): the one record a
+/// mutating delivery stored under `key`, sent by the key's owner to each of
+/// its next r-1 successors. It rides inline, as Rewrite carries its
+/// residual; the receiver appends it exactly once unless its replica base
+/// already covers it. (Bases — a key's whole slice, sent where ownership
+/// or the successor window changes — travel as a mirror-kind StateHandoff.)
+struct ReplicaUpdate {
+  /// Approximate wire size: a 24-byte header (key, sender, version) plus
+  /// the record at the SliceBatch per-record rates — 64 per query, 32 (+8
+  /// per value) per tuple, 40 (+8 per value) per ALTT entry, 32 per rate
+  /// triple.
+  uint64_t ApproxBytes() const;
+
+  dht::NodeIndex from = dht::kInvalidNode;
+  KeyId key = kInvalidKeyId;
+  MirrorRecord record = MirrorRecord::kRate;
+  MirrorVersion version;
+  Residual query;        ///< kQuery
+  TupleRef tuple;        ///< kTuple, kAltt
+  uint64_t expires = 0;  ///< kAltt: the entry's absolute expiry
+  uint64_t rate_epoch = 0;  ///< all but kQuery: the raw rate bucket
+  uint64_t rate_current = 0;
+  uint64_t rate_previous = 0;
 };
 
 /// Failure injection: node `node` is killed silently — no goodbye, no
@@ -247,6 +276,8 @@ class MessageTask {
   static_assert(kMatches<MessageKind::kStateHandoff, StateHandoff>);
   static_assert(kMatches<MessageKind::kReplicaUpdate, ReplicaUpdate>);
   static_assert(kMatches<MessageKind::kNodeCrash, NodeCrash>);
+  // Deltas ride inline: replication must not grow the pooled Envelope.
+  static_assert(sizeof(ReplicaUpdate) <= sizeof(Rewrite));
 
   Variant v_;
 };

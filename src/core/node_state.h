@@ -363,7 +363,12 @@ class NodeState {
   /// Cached RIC info (the candidate table, Section 7).
   CandidateTable ct;
 
-  /// Replica slices held for ring predecessors under successor-list
+  /// The second half of every replica version this node emits: one more
+  /// per mirror, and a Lamport clock — Install moves it past the sender's,
+  /// so mirrors of a moved key order after the old owner's.
+  uint64_t mirror_seq = 0;
+
+  /// Replica entries held for ring predecessors under successor-list
   /// replication, created on first use (a mirror or a pending promotion).
   /// ReplicaStore stays an incomplete type here (core/slice_codec.h) so the
   /// replication surface is out of every NodeState user; null whenever

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "core/engine.h"
 #include "stats/alloc_tracker.h"
@@ -10,8 +11,97 @@
 namespace rjoin::core {
 
 namespace {
+
 constexpr uint32_t kNil = SlabPool<StoredQuery>::kNil;
+
+/// ApplyBase's per-record-kind step: the base's records (at `version`),
+/// then the held records newer than the base, in their arrival order.
+template <typename T>
+void Rebase(std::vector<Versioned<T>>& held, std::vector<T>& base,
+            MirrorVersion version) {
+  std::vector<Versioned<T>> merged;
+  merged.reserve(base.size() + held.size());
+  for (T& rec : base) merged.push_back({version, std::move(rec)});
+  for (Versioned<T>& r : held) {
+    if (r.version > version) merged.push_back(std::move(r));
+  }
+  held.swap(merged);
+}
+
+/// TakeUpTo's per-record-kind step: moves records versioned at or before
+/// time `t` into `out`, keeping the rest in order.
+template <typename T>
+void TakeRecords(std::vector<Versioned<T>>& held, uint64_t t,
+                 std::vector<T>* out, uint64_t* max_seq) {
+  size_t kept = 0;
+  for (Versioned<T>& r : held) {
+    if (r.version.at <= t) {
+      *max_seq = std::max(*max_seq, r.version.seq);
+      out->push_back(std::move(r.record));
+    } else {
+      if (&held[kept] != &r) held[kept] = std::move(r);
+      ++kept;
+    }
+  }
+  held.resize(kept);
+}
+
 }  // namespace
+
+void ReplicaStore::Entry::ApplyDelta(ReplicaUpdate& delta) {
+  if (delta.version <= base) return;  // The base already holds the record.
+  switch (delta.record) {
+    case MirrorRecord::kQuery:
+      queries.push_back({delta.version, std::move(delta.query)});
+      return;  // Storing a residual leaves the rate bucket alone.
+    case MirrorRecord::kTuple:
+      tuples.push_back({delta.version, std::move(delta.tuple)});
+      break;
+    case MirrorRecord::kAltt:
+      altt.push_back(
+          {delta.version, AlttEntry{std::move(delta.tuple), delta.expires}});
+      break;
+    case MirrorRecord::kRate:
+      break;
+  }
+  OfferRate(delta.version, delta.rate_epoch, delta.rate_current,
+            delta.rate_previous);
+}
+
+void ReplicaStore::Entry::OfferRate(MirrorVersion version, uint64_t epoch,
+                                    uint64_t current, uint64_t previous) {
+  if (version <= rate) return;
+  rate = version;
+  rate_epoch = epoch;
+  rate_current = current;
+  rate_previous = previous;
+}
+
+void ReplicaStore::Entry::ApplyBase(KeySlice&& slice, MirrorVersion version) {
+  if (version <= base) return;  // A newer base already covers this one.
+  base = version;
+  Rebase(queries, slice.queries, version);
+  Rebase(tuples, slice.tuples, version);
+  Rebase(altt, slice.altt, version);
+  OfferRate(version, slice.rate_epoch, slice.rate_current,
+            slice.rate_previous);
+}
+
+KeySlice ReplicaStore::Entry::TakeUpTo(KeyId key, uint64_t t,
+                                       uint64_t* max_seq) {
+  KeySlice s;
+  s.key = key;
+  TakeRecords(queries, t, &s.queries, max_seq);
+  TakeRecords(tuples, t, &s.tuples, max_seq);
+  TakeRecords(altt, t, &s.altt, max_seq);
+  if (rate.at <= t) {
+    *max_seq = std::max(*max_seq, rate.seq);
+    s.rate_epoch = std::exchange(rate_epoch, 0);
+    s.rate_current = std::exchange(rate_current, 0);
+    s.rate_previous = std::exchange(rate_previous, 0);
+  }
+  return s;
+}
 
 uint64_t SliceBatch::ApproxBytes() const {
   uint64_t bytes = 64;  // header: from + range + emission time
@@ -103,6 +193,8 @@ void RJoinEngine::Install(dht::NodeIndex self, SliceBatch& b) {
   NodeState& st = state(self);
   const uint64_t now = Now();
   const bool promoted = b.kind == SliceKind::kPromote;
+  // Every mirror this node sends from here on orders after the sender's.
+  st.mirror_seq = std::max(st.mirror_seq, b.seq);
 
   // One decision per slice: install it here, or — when responsibility
   // moved again while the batch was in flight (chained churn) — re-forward
@@ -124,6 +216,7 @@ void RJoinEngine::Install(dht::NodeIndex self, SliceBatch& b) {
       out->from = self;
       out->range = b.range;
       out->emitted_at = b.emitted_at;  // recovery measures the full trip
+      out->seq = st.mirror_seq;
       out->kind = b.kind;  // a split promotion is still a promotion
     }
     out->slices.push_back(std::move(slice));
@@ -245,10 +338,11 @@ void RJoinEngine::Install(dht::NodeIndex self, SliceBatch& b) {
   }
   AddChurnCounters(counters);
 
-  // Replication: the moved (or promoted) slices now live here — overwrite
-  // the stale copies at this node's successors so a later crash promotes
-  // current data, not the pre-churn snapshot. Slices travel in ring order,
-  // so the mirrors go out in ring order too.
+  // Replication: the moved (or promoted) slices now live here, so their
+  // owner changed — send this node's successors a base for each, replacing
+  // the stale copies, so a later crash promotes current data, not the
+  // pre-churn snapshot. Slices travel in ring order, so the bases go out in
+  // ring order too.
   if (config_.replication <= 1) return;
   for (const KeySlice& s : b.slices) {
     const bool live_altt =
@@ -256,7 +350,7 @@ void RJoinEngine::Install(dht::NodeIndex self, SliceBatch& b) {
                     [&](const AlttEntry& e) { return e.expires >= now; });
     if (!s.queries.empty() || !s.tuples.empty() || live_altt ||
         s.has_rate()) {
-      MirrorKey(self, s.key);
+      MirrorBase(self, s.key);
     }
   }
 }
@@ -272,16 +366,14 @@ void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
   batch.emitted_at = crash_time;
   batch.kind = SliceKind::kPromote;
   for (KeyId key :
-       KeysInRangeSorted(store->slices, *interner_, range.low, range.high)) {
-    ReplicaStore::Entry& entry = *store->slices.Find(key);
-    // Newer entries are mirrors from an owner that took the key over after
-    // the crash, not the victim's state.
-    if (entry.version > crash_time || entry.slice.empty()) continue;
-    // Extract, don't copy: a second orphaned range overlapping this key
-    // (correlated kills) must not promote the slice twice.
-    batch.slices.push_back(std::move(entry.slice));
-    entry.slice = KeySlice{};
-    entry.version = crash_time;
+       KeysInRangeSorted(store->entries, *interner_, range.low, range.high)) {
+    // Only records mirrored up to the crash are the victim's: newer ones
+    // come from an owner that took the key over after the crash. Take,
+    // don't copy: a second orphaned range overlapping this key (correlated
+    // kills) must not promote the records twice.
+    KeySlice slice =
+        store->entries.Find(key)->TakeUpTo(key, crash_time, &batch.seq);
+    if (!slice.empty()) batch.slices.push_back(std::move(slice));
   }
   if (batch.slices.empty()) return;
   // The survivor is the new owner: promotion is the graceful-leave install
@@ -290,28 +382,32 @@ void RJoinEngine::PromoteReplicas(dht::NodeIndex owner,
   Install(owner, batch);
 }
 
+bool RJoinEngine::AcceptsMirror(dht::NodeIndex self, KeyId key,
+                                dht::NodeIndex from) {
+  if (crashed_[self]) return false;  // Mail to the dead.
+  // A mirror for a key this node *owns* is stale by construction (mirrors
+  // target the owner's successors, never the owner): ownership moved here
+  // after it was emitted. The one exception is a crashed owner's last
+  // mirrors: they land before the promotion notice runs here (ApplyCrash),
+  // and the promotion installs them.
+  return network_->SuccessorOf(interner_->ring_id(key)) != self ||
+         crashed_[from];
+}
+
 void RJoinEngine::OnReplicaUpdate(dht::NodeIndex self, ReplicaUpdate& msg) {
-  if (crashed_[self]) return;  // Mail to the dead.
-  SliceBatch& b = *msg.batch;
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  ReplicaStore& store = Replicas(self);
-  for (KeySlice& slice : b.slices) {
-    // A mirror for a key this node *owns* is stale by construction
-    // (mirrors target the owner's successors, never the owner): ownership
-    // moved here after it was emitted. The one exception is a crashed
-    // owner's last mirror: it lands before the promotion notice runs here
-    // (ApplyCrash), and the promotion installs it.
-    if (network_->SuccessorOf(interner_->ring_id(slice.key)) == self &&
-        !crashed_[b.from]) {
-      continue;
-    }
-    // REPLACE, version-guarded: a refresh emitted after a churn barrier
-    // must not be overwritten by a slower pre-churn mirror.
-    ReplicaStore::Entry& entry = store.slices[slice.key];
-    if (entry.version > b.emitted_at) continue;
-    entry.version = b.emitted_at;
-    entry.slice = std::move(slice);
-  }
+  if (!AcceptsMirror(self, msg.key, msg.from)) return;
+  // The replica store grows like a pool: per-key vectors double, so a
+  // delta costs no allocation of its own.
+  stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
+  Replicas(self).entries[msg.key].ApplyDelta(msg);
+}
+
+void RJoinEngine::OnReplicaBase(dht::NodeIndex self, SliceBatch& b) {
+  KeySlice& slice = b.slices.front();
+  if (!AcceptsMirror(self, slice.key, b.from)) return;
+  stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
+  Replicas(self).entries[slice.key].ApplyBase(
+      std::move(slice), MirrorVersion{b.emitted_at, b.seq});
 }
 
 }  // namespace rjoin::core

@@ -8,6 +8,7 @@
 #include "core/interner.h"
 #include "core/key.h"
 #include "core/key_map.h"
+#include "core/messages.h"
 #include "core/node_state.h"
 #include "core/residual.h"
 #include "core/tuple_ref.h"
@@ -22,7 +23,9 @@ namespace rjoin::core {
 // bucket. Every ring change moves that slice, and the three movers share
 // one format (docs/churn.md, docs/failures.md):
 //   - handoff: a graceful join/leave moves a key range to its new owner;
-//   - mirror:  an owner pushes a copy of one key to its r-1 successors;
+//   - mirror:  an owner pushes a base copy of one key to its r-1
+//     successors where ownership or the successor window changes (the
+//     records stored in between follow as one-record ReplicaUpdate deltas);
 //   - promote: after a silent crash, the survivor installs its replicas.
 // ---------------------------------------------------------------------------
 
@@ -53,12 +56,17 @@ struct KeySlice {
 enum class SliceKind : uint8_t { kHandoff, kPromote, kMirror };
 
 /// Everything one transfer moves: key slices in ring order. Handoffs and
-/// promotions cover `range`; a mirror REPLACES each listed slice at the
-/// receiver, so an empty slice still clears a stale replica.
+/// promotions cover `range`; a mirror-kind batch is a replica base — one
+/// slice that REPLACES the receiver's records older than it, versioned
+/// (emitted_at, seq).
 struct SliceBatch {
   dht::NodeIndex from = dht::kInvalidNode;
   dht::KeyRange range;      ///< moved responsibility (low, high]
-  uint64_t emitted_at = 0;  ///< version of a mirror; start of recovery
+  uint64_t emitted_at = 0;  ///< start of recovery; a base's version time
+  /// The sender's mirror sequence number: a base's version, and the
+  /// Lamport clock an install moves the installer's counter past, so the
+  /// installer's later mirrors order after every mirror of the moved keys.
+  uint64_t seq = 0;
   SliceKind kind = SliceKind::kHandoff;
   std::vector<KeySlice> slices;
 
@@ -77,16 +85,45 @@ enum class ExtractMode { kMove, kCopy };
 /// storage-metric bookkeeping for the extracted queries and tuples.
 KeySlice Extract(NodeState& st, KeyId key, ExtractMode mode, uint64_t now);
 
+/// One replica record and the version of the mirror that brought it.
+template <typename T>
+struct Versioned {
+  MirrorVersion version;
+  T record;
+};
+
 /// Everything one node holds on behalf of its ring predecessors. Created
 /// lazily, so with replication off no node pays for it.
 struct ReplicaStore {
+  /// One key's replica (docs/failures.md): the records of the last REPLACE
+  /// base, then the deltas that base does not cover, each with its version.
   struct Entry {
-    /// Emission time of the last mirror assigned; an older mirror in
-    /// flight never overwrites a newer slice.
-    uint64_t version = 0;
-    KeySlice slice;
+    MirrorVersion base;  ///< the base the records build on
+    MirrorVersion rate;  ///< the rate triple's writer: the last one wins
+    std::vector<Versioned<Residual>> queries;
+    std::vector<Versioned<TupleRef>> tuples;
+    std::vector<Versioned<AlttEntry>> altt;
+    uint64_t rate_epoch = 0;
+    uint64_t rate_current = 0;
+    uint64_t rate_previous = 0;
+
+    /// Appends the delta's record exactly once: unless the base covers it
+    /// (version at or below the base's). Its rate triple, if any, wins
+    /// over an older one.
+    void ApplyDelta(ReplicaUpdate& delta);
+    /// Takes the rate triple if `version` is newer than the held one's.
+    void OfferRate(MirrorVersion version, uint64_t epoch, uint64_t current,
+                   uint64_t previous);
+    /// Replaces every record versioned at or below `version` by the base
+    /// slice's records; newer deltas, which landed first, stay behind
+    /// them. A base older than the current one is dropped.
+    void ApplyBase(KeySlice&& slice, MirrorVersion version);
+    /// Moves every record versioned at or before time `t` (and the rate
+    /// triple, likewise) out into a slice for promotion; `*max_seq` rises
+    /// to the highest sequence number taken.
+    KeySlice TakeUpTo(KeyId key, uint64_t t, uint64_t* max_seq);
   };
-  KeyIdMap<Entry> slices;
+  KeyIdMap<Entry> entries;
 };
 
 /// Sorts interned keys into ring order: (ring id, level, id). Two distinct

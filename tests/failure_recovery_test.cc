@@ -23,6 +23,7 @@
 #include "core/interner.h"
 #include "core/node_state.h"
 #include "core/slab_pool.h"
+#include "core/slice_codec.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
 #include "runtime/shard_router.h"
@@ -48,21 +49,24 @@ constexpr uint32_t kNilA = core::SlabPool<core::AlttEntry>::kNil;
 /// Minimal harness with a replication knob: explicit crashes between
 /// publishes, oracle checks at the end (mirrors churn_runtime_test's
 /// SerialHarness). `shards` > 0 runs the engine on the sharded runtime;
-/// 0 keeps the serial simulator. Every hop takes `hop_delay` ticks.
+/// 0 keeps the serial simulator. Hops draw their delay from `latency_model`
+/// (one tick each when none is given).
 struct FaultHarness {
   explicit FaultHarness(size_t nodes, uint32_t replication, uint64_t seed = 7,
-                        uint32_t shards = 0, sim::SimTime hop_delay = 1)
+                        uint32_t shards = 0,
+                        std::unique_ptr<sim::LatencyModel> latency_model =
+                            std::make_unique<sim::FixedLatency>(1))
       : network(dht::ChordNetwork::Create(nodes, seed)),
-        latency(hop_delay),
+        latency(std::move(latency_model)),
         metrics(network->num_total()),
-        transport(network.get(), &simulator, &latency, &metrics,
+        transport(network.get(), &simulator, latency.get(), &metrics,
                   Rng(seed * 31)),
         engine(Config(replication), &catalog, network.get(), &transport,
                &simulator, &metrics) {
     if (shards > 0) {
       runtime = std::make_unique<runtime::ShardedRuntime>(
           runtime::ShardedRuntime::Options{
-              .shards = shards, .lookahead = runtime::AutoRoundWidth(latency)},
+              .shards = shards, .lookahead = runtime::AutoRoundWidth(*latency)},
           network->num_total(), &metrics);
       router = std::make_unique<runtime::ShardRouter>(runtime.get(), seed * 31);
       transport.set_router(router.get());
@@ -158,7 +162,7 @@ struct FaultHarness {
   sql::Catalog catalog = MakeCatalog();
   std::unique_ptr<dht::ChordNetwork> network;
   sim::Simulator simulator;
-  sim::FixedLatency latency;
+  std::unique_ptr<sim::LatencyModel> latency;
   stats::MetricsRegistry metrics;
   dht::Transport transport;
   core::RJoinEngine engine;
@@ -542,14 +546,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededFaultTraceTest,
 
 // ------------------------------------- promoted-state equality property ----
 
-/// Digest of one node's primary per-key state: stored-query content
-/// fingerprints, the stored-tuple id multiset, live ALTT (tuple, expiry)
-/// pairs, and the raw rate bucket. Replica slices and DISTINCT bookkeeping
+/// The record multiset of one node's primary per-key state, one string per
+/// record: stored-query content fingerprints, stored tuple ids, and live
+/// ALTT (tuple, expiry) pairs. Replica entries and DISTINCT bookkeeping
 /// are deliberately excluded — they are caches, not state the paper's
 /// operators observe.
-std::map<core::KeyId, std::string> StateDigest(const core::RJoinEngine& eng,
-                                               dht::NodeIndex n,
-                                               uint64_t now) {
+std::map<core::KeyId, std::vector<std::string>> RecordParts(
+    const core::RJoinEngine& eng, dht::NodeIndex n, uint64_t now) {
   const core::NodeState& st = eng.state_of(n);
   std::map<core::KeyId, std::vector<std::string>> parts;
   st.queries.ForEach([&](core::KeyId key, const core::BucketList& bucket) {
@@ -579,16 +582,13 @@ std::map<core::KeyId, std::string> StateDigest(const core::RJoinEngine& eng,
                            std::to_string(e.expires));
     }
   });
-  std::vector<core::KeyId> rate_keys;
-  st.rates.AppendTrackedKeys(&rate_keys);
-  for (core::KeyId key : rate_keys) {
-    uint64_t epoch = 0, current = 0, previous = 0;
-    if (st.rates.PeekKey(key, &epoch, &current, &previous)) {
-      parts[key].push_back("r:" + std::to_string(epoch) + ":" +
-                           std::to_string(current) + ":" +
-                           std::to_string(previous));
-    }
-  }
+  return parts;
+}
+
+/// Sorts each key's record strings and joins them; keys without records
+/// drop out.
+std::map<core::KeyId, std::string> JoinParts(
+    std::map<core::KeyId, std::vector<std::string>> parts) {
   std::map<core::KeyId, std::string> digest;
   for (auto& [key, v] : parts) {
     std::sort(v.begin(), v.end());
@@ -600,6 +600,75 @@ std::map<core::KeyId, std::string> StateDigest(const core::RJoinEngine& eng,
     if (!joined.empty()) digest[key] = std::move(joined);
   }
   return digest;
+}
+
+/// Digest of one node's primary per-key state: RecordParts plus the raw
+/// rate bucket.
+std::map<core::KeyId, std::string> StateDigest(const core::RJoinEngine& eng,
+                                               dht::NodeIndex n,
+                                               uint64_t now) {
+  const core::NodeState& st = eng.state_of(n);
+  std::map<core::KeyId, std::vector<std::string>> parts =
+      RecordParts(eng, n, now);
+  std::vector<core::KeyId> rate_keys;
+  st.rates.AppendTrackedKeys(&rate_keys);
+  for (core::KeyId key : rate_keys) {
+    uint64_t epoch = 0, current = 0, previous = 0;
+    if (st.rates.PeekKey(key, &epoch, &current, &previous)) {
+      parts[key].push_back("r:" + std::to_string(epoch) + ":" +
+                           std::to_string(current) + ":" +
+                           std::to_string(previous));
+    }
+  }
+  return JoinParts(std::move(parts));
+}
+
+/// The record multiset `holder` keeps as a replica of `key`, in
+/// RecordParts' form ("" when it holds none).
+std::string ReplicaDigest(const core::RJoinEngine& eng, dht::NodeIndex holder,
+                          core::KeyId key, uint64_t now) {
+  const core::ReplicaStore* store = eng.state_of(holder).replicas.get();
+  const core::ReplicaStore::Entry* entry =
+      store == nullptr ? nullptr : store->entries.Find(key);
+  if (entry == nullptr) return "";
+  std::map<core::KeyId, std::vector<std::string>> parts;
+  std::vector<std::string>& v = parts[key];
+  for (const auto& q : entry->queries) {
+    v.push_back("q:" + std::to_string(q.record.ContentFingerprint64()));
+  }
+  for (const auto& t : entry->tuples) {
+    v.push_back("t:" + std::to_string(t.record->tuple_id));
+  }
+  for (const auto& a : entry->altt) {
+    if (a.record.expires < now) continue;
+    v.push_back("a:" + std::to_string(a.record.tuple->tuple_id) + "@" +
+                std::to_string(a.record.expires));
+  }
+  auto digest = JoinParts(std::move(parts));
+  return digest.empty() ? "" : digest.begin()->second;
+}
+
+/// Convergence: after quiescence, every key an alive node owns is held,
+/// record for record, by each of the node's replication-1 successors.
+/// Returns the number of (key, replica) pairs compared.
+size_t ExpectReplicasConverged(const FaultHarness& h, uint32_t replication) {
+  const uint64_t now = h.Now();
+  core::KeyInterner& in = core::KeyInterner::Global();
+  size_t compared = 0;
+  for (dht::NodeIndex n : h.network->AliveNodes()) {
+    std::vector<dht::NodeIndex> succs;
+    h.network->SuccessorsOf(n, replication - 1, &succs);
+    for (const auto& [key, want] : JoinParts(RecordParts(h.engine, n, now))) {
+      if (h.network->SuccessorOf(in.ring_id(key)) != n) continue;
+      for (dht::NodeIndex s : succs) {
+        EXPECT_EQ(ReplicaDigest(h.engine, s, key, now), want)
+            << "replica of key " << key << " (owner " << n << ") at node "
+            << s << " diverges from the owner's slice";
+        ++compared;
+      }
+    }
+  }
+  return compared;
 }
 
 /// When a crash strikes relative to the victim's traffic.
@@ -624,9 +693,9 @@ void ExpectCrashEqualsGracefulLeave(CrashTiming timing, uint32_t shards,
   constexpr size_t kNodes = 20;
   constexpr uint64_t kStep = 48;  // drains every cascade before the next op
   FaultHarness crashed(kNodes, /*replication=*/2, /*seed=*/13, shards,
-                       hop_delay);
+                       std::make_unique<sim::FixedLatency>(hop_delay));
   FaultHarness graceful(kNodes, /*replication=*/2, /*seed=*/13, shards,
-                        hop_delay);
+                        std::make_unique<sim::FixedLatency>(hop_delay));
 
   auto both_submit = [&](dht::NodeIndex owner, const std::string& text) {
     crashed.Submit(owner, text);
@@ -747,7 +816,7 @@ TEST(PromotionPropertyTest, ZeroDelayCrashInTheStoreTickKeepsTheStore) {
   // (ring successor) runs before the victim within a tick, so a notice due
   // then would promote before the mirror lands.
   FaultHarness h(16, /*replication=*/2, /*seed=*/7, /*shards=*/4,
-                 /*hop_delay=*/0);
+                 std::make_unique<sim::FixedLatency>(0));
   h.Submit(0, "SELECT R.B, S.C FROM R, S WHERE R.A=S.A");
   core::KeyInterner& in = core::KeyInterner::Global();
   // A value key owned by a node whose ring neighbours both have lower
@@ -781,6 +850,246 @@ TEST(PromotionPropertyTest, ZeroDelayCrashInTheStoreTickKeepsTheStore) {
 
   EXPECT_EQ(h.engine.replication_stats().promotions_installed, 1u);
   EXPECT_EQ(stored(succ), 1u) << "the last mirror of the store was lost";
+}
+
+// ------------------------------------------------ delta mirrors ----
+
+/// A random two-way equi-join over R, S and P.
+std::string RandomJoinQuery(Rng& rng) {
+  const char* rels[] = {"R", "S", "P"};
+  const size_t x = rng.NextBounded(3);
+  const size_t y = (x + 1 + rng.NextBounded(2)) % 3;
+  const std::string a = rng.NextBounded(2) == 0 ? "A" : "B";
+  const std::string lhs = rels[x];
+  const std::string rhs = rels[y];
+  return "SELECT " + lhs + ".B, " + rhs + ".C FROM " + lhs + ", " + rhs +
+         " WHERE " + lhs + "." + a + "=" + rhs + "." + a;
+}
+
+/// Publishes `count` random tuples from nodes 0..2, twelve per tick, so
+/// busy owners store (and mirror) several records within one tick.
+void PublishBursts(FaultHarness& h, Rng& rng, int count) {
+  const char* rels[] = {"R", "S", "P"};
+  for (int i = 0; i < count; ++i) {
+    const dht::NodeIndex publisher = rng.NextBounded(3);
+    const std::string rel = rels[rng.NextBounded(3)];
+    h.PublishAsync(publisher, rel,
+                   {static_cast<int64_t>(rng.NextBounded(8)),
+                    static_cast<int64_t>(rng.NextBounded(8)),
+                    static_cast<int64_t>(rng.NextBounded(10))});
+    if (i % 12 == 11) h.RunUntil(h.Now() + 3);
+  }
+  h.Run();
+}
+
+/// Property: under non-FIFO hop delays, every replica converges to its
+/// owner's slice once the network is quiet, and crashing owners then
+/// loses no answer. Busy owners mirror one key several times per tick, and
+/// a mirror that lands late must never roll a replica back.
+void ExpectDeltaMirrorsConverge(uint32_t replication, uint32_t shards) {
+  SCOPED_TRACE("replication=" + std::to_string(replication) +
+               " shards=" + std::to_string(shards));
+  FaultHarness h(16, replication, /*seed=*/3, shards,
+                 std::make_unique<sim::UniformLatency>(1, 8));
+  Rng rng(4242);
+  std::vector<uint64_t> queries;
+  for (int i = 0; i < 40; ++i) {
+    queries.push_back(h.Submit(rng.NextBounded(3), RandomJoinQuery(rng)));
+  }
+  PublishBursts(h, rng, 240);
+  EXPECT_GT(ExpectReplicasConverged(h, replication), 0u);
+
+  // Crash the three owners holding the most records, one at a time; none
+  // owns a query or publishes, so every answer must still arrive.
+  for (int kill = 0; kill < 3; ++kill) {
+    dht::NodeIndex victim = dht::kInvalidNode;
+    size_t most = 0;
+    for (dht::NodeIndex n : h.network->AliveNodes()) {
+      size_t records = 0;
+      for (const auto& [key, v] : RecordParts(h.engine, n, h.Now())) {
+        records += v.size();
+      }
+      if (n > 2 && records > most) {
+        most = records;
+        victim = n;
+      }
+    }
+    ASSERT_NE(victim, dht::kInvalidNode);
+    h.Crash(victim);
+  }
+  EXPECT_EQ(h.engine.replication_stats().promotions_installed, 3u);
+  EXPECT_GT(ExpectReplicasConverged(h, replication), 0u);
+
+  PublishBursts(h, rng, 120);
+  for (uint64_t q : queries) {
+    EXPECT_EQ(h.GotRows(q), h.OracleRows(q)) << "query " << q;
+  }
+  EXPECT_EQ(h.engine.replication_stats().answers_lost, 0u);
+}
+
+TEST(DeltaMirrorTest, ReplicasConvergeUnderNonFifoLatency) {
+  for (uint32_t replication : {2u, 3u}) {
+    for (uint32_t shards : {0u, 1u, 4u, 7u}) {
+      ExpectDeltaMirrorsConverge(replication, shards);
+    }
+  }
+}
+
+/// Hops take one tick, or eight while `slow` is set.
+class SwitchedLatency : public sim::LatencyModel {
+ public:
+  sim::SimTime Delay(Rng&) override { return slow ? 8 : 1; }
+  sim::SimTime max_delay() const override { return 8; }
+  bool slow = false;
+};
+
+/// The delta/base race, pinned serially at r=3. An owner O mirrors to its
+/// successors {s1, s2}; a join between s1 and s2 makes O send s1 a base
+/// (RefreshReplicasAround). With `delta_first`, the delta of a stored tuple
+/// leaves before the base but lands after it: the base already holds the
+/// tuple, so the delta must not add it again. Otherwise the base leaves
+/// first but lands after the delta: the base must not drop the tuple. Then
+/// O crashes, s1 promotes, and a matching tuple joins each stored tuple
+/// exactly once, as the oracle says.
+void ExpectDeltaAndBaseApplyOnce(bool delta_first) {
+  SCOPED_TRACE(delta_first ? "delta first" : "base first");
+  auto model = std::make_unique<SwitchedLatency>();
+  SwitchedLatency* latency = model.get();
+  FaultHarness h(16, /*replication=*/3, /*seed=*/5, /*shards=*/0,
+                 std::move(model));
+  // R's attribute keys look busy, so RIC indexes the query under S.A and
+  // the S tuple's rewrite probes the R tuple's value key.
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(h.engine
+                    .ObserveStreamHistory(
+                        "R", {sql::Value::Int(100 + i), sql::Value::Int(i),
+                              sql::Value::Int(i)})
+                    .ok());
+  }
+  const uint64_t q = h.Submit(0, "SELECT R.B, S.C FROM R, S WHERE R.A=S.A");
+
+  // The value key R.A=a of an owner that neither owns the query nor
+  // publishes, and a joiner position between its two replica targets.
+  core::KeyInterner& in = core::KeyInterner::Global();
+  int64_t a = 0;
+  core::KeyId key = core::kInvalidKeyId;
+  dht::NodeIndex owner = 0;
+  for (; owner <= 2; ++a) {
+    key = in.InternValue("R", "A", sql::Value::Int(a));
+    owner = h.network->SuccessorOf(in.ring_id(key));
+  }
+  --a;
+  const dht::NodeIndex s1 = h.network->node(owner).successor();
+  const dht::NodeIndex s2 = h.network->node(s1).successor();
+  dht::NodeId joiner;
+  for (int i = 0;; ++i) {
+    joiner = dht::NodeId::FromKey("race-join:" + std::to_string(i));
+    if (dht::InIntervalOpenClosed(joiner, h.network->node(s1).id(),
+                                  h.network->node(s2).id())) {
+      break;
+    }
+  }
+  auto stored = [&]() -> uint32_t {
+    const core::TupleBucket* b = h.engine.state_of(owner).tuples.Find(key);
+    return b == nullptr ? 0 : b->size;
+  };
+  // The key already holds a tuple, so the join's base carries the key.
+  h.Publish(1, "R", {a, 5, 6});
+  ASSERT_EQ(stored(), 1u);
+  auto join_now = [&] {
+    ASSERT_TRUE(h.engine.ScheduleJoin(h.Now(), joiner, 0).ok());
+    h.RunUntil(h.Now());
+    ASSERT_EQ(h.engine.churn_stats().joins_applied, 1u);
+  };
+  // The record of the next published tuple: ids count publications.
+  const std::string tuple_record =
+      "t:" + std::to_string(h.engine.history().size() + 1);
+  auto s1_holds_tuple = [&] {
+    return ReplicaDigest(h.engine, s1, key, h.Now()).find(tuple_record) !=
+           std::string::npos;
+  };
+
+  latency->slow = true;
+  if (delta_first) {
+    h.PublishAsync(1, "R", {a, 7, 8});
+    uint64_t now = h.Now();
+    while (stored() == 1) h.RunUntil(++now);
+    latency->slow = false;
+    join_now();  // same tick: the base follows the slow delta out
+    h.RunUntil(h.Now() + 2);
+    EXPECT_TRUE(s1_holds_tuple()) << "the base should have landed first";
+  } else {
+    join_now();
+    latency->slow = false;
+    const sim::SimTime base_sent = h.Now();
+    h.PublishAsync(1, "R", {a, 7, 8});
+    h.RunUntil(base_sent + 7);
+    ASSERT_EQ(stored(), 2u) << "the store must beat the slow base";
+    EXPECT_TRUE(s1_holds_tuple()) << "the delta should have landed first";
+  }
+  h.Run();
+  ASSERT_EQ(stored(), 2u);
+  EXPECT_EQ(ReplicaDigest(h.engine, s1, key, h.Now()),
+            JoinParts(RecordParts(h.engine, owner, h.Now()))[key]);
+  EXPECT_GT(ExpectReplicasConverged(h, 3), 0u);
+
+  h.Crash(owner);
+  EXPECT_EQ(h.engine.replication_stats().promotions_installed, 1u);
+  h.Publish(2, "S", {a, 9, 10});
+  EXPECT_EQ(h.GotRows(q), h.OracleRows(q));
+  EXPECT_EQ(h.GotRows(q).size(), 2u);
+}
+
+TEST(DeltaMirrorTest, DeltaLandingAfterItsBaseAppliesOnce) {
+  ExpectDeltaAndBaseApplyOnce(/*delta_first=*/true);
+}
+
+TEST(DeltaMirrorTest, DeltaLandingBeforeAnOlderBaseSurvivesIt) {
+  ExpectDeltaAndBaseApplyOnce(/*delta_first=*/false);
+}
+
+TEST(DeltaMirrorTest, ZeroDelayHandoffBaseCoversTheOldOwnersDelta) {
+  // Every hop takes zero ticks, serially: a store at the old owner A, the
+  // join that hands its key to J, and J's base all happen in one tick, so
+  // only the sequence number orders A's delta before J's base. J's counter
+  // starts below A's; the install moves it past A's, or the replica both
+  // owners' mirrors reach at r=3 would hold the tuple twice.
+  FaultHarness h(16, /*replication=*/3, /*seed=*/11, /*shards=*/0,
+                 std::make_unique<sim::FixedLatency>(0));
+  h.Submit(0, "SELECT R.B, S.C FROM R, S WHERE R.A=S.A");
+  core::KeyInterner& in = core::KeyInterner::Global();
+  int64_t a = 0;
+  core::KeyId key = core::kInvalidKeyId;
+  dht::NodeIndex owner = 0;
+  for (; owner <= 2; ++a) {
+    key = in.InternValue("R", "A", sql::Value::Int(a));
+    owner = h.network->SuccessorOf(in.ring_id(key));
+  }
+  --a;
+  // A joiner between A's predecessor and the key takes the key from A.
+  const dht::NodeId& pred =
+      h.network->node(h.network->node(owner).predecessor()).id();
+  dht::NodeId joiner;
+  for (int i = 0;; ++i) {
+    joiner = dht::NodeId::FromKey("handoff-join:" + std::to_string(i));
+    if (dht::InIntervalOpenClosed(joiner, pred, h.network->node(owner).id()) &&
+        dht::InIntervalOpenClosed(in.ring_id(key), pred, joiner)) {
+      break;
+    }
+  }
+  h.Publish(1, "R", {a, 5, 6});  // A mirrors the key before the race
+  h.PublishAsync(1, "R", {a, 7, 8});
+  const sim::SimTime t = h.Now();
+  h.RunUntil(t);  // the store and its delta, all in tick t
+  ASSERT_TRUE(h.engine.ScheduleJoin(t, joiner, 0).ok());
+  h.Run();
+  ASSERT_EQ(h.Now(), t);
+  ASSERT_EQ(h.engine.churn_stats().handoffs_installed, 1u);
+  const dht::NodeIndex new_owner = h.network->SuccessorOf(in.ring_id(key));
+  ASSERT_NE(new_owner, owner);
+  EXPECT_GT(ExpectReplicasConverged(h, 3), 0u);
+  EXPECT_EQ(JoinParts(RecordParts(h.engine, new_owner, t))[key],
+            "t:1|t:2|");
 }
 
 }  // namespace

@@ -92,7 +92,8 @@ def gate_failures(fresh, path, max_recovery_rounds):
     print(f"check_bench: {os.path.basename(path)}: "
           f"answer_loss_rate={loss:.6f} recovery_rounds_p99={p99:.2f} "
           f"replication_msgs_per_sec={fs['replication_msgs_per_sec']:.2f} "
-          f"replica_bytes={fs['replica_bytes']:.0f}")
+          f"replica_bytes={fs['replica_bytes']:.0f} "
+          f"replication_slowdown={fs.get('replication_slowdown', 0.0):.2f}")
     if loss > LOSS_EPSILON:
         fail(f"answer_loss_rate {loss:.6f} != 0 with replication_factor=2 "
              f"on the reference fault trace; single-kill completeness is "
