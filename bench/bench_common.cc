@@ -12,6 +12,8 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "core/interner.h"
 #include "core/messages.h"
 #include "core/planner.h"
@@ -539,6 +541,20 @@ std::string JsonReporter::Write() const {
     os << ", \"alloc_steady_window_tuples\": ";
     AppendJsonNumber(os, static_cast<double>(steady_allocs_tuples_));
   }
+  // Memory: the process's peak resident set so far (getrusage; a
+  // high-water mark, so it covers every figure run in this process), and
+  // heap allocations of every plane per delivered answer.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  os << ", \"peak_rss_mb\": ";
+  AppendJsonNumber(os, static_cast<double>(usage.ru_maxrss) / 1024.0);
+  const uint64_t run_all_planes =
+      run_data_plane + plane.alloc_other + plane.alloc_pool_capacity;
+  os << ", \"allocs_per_answer\": ";
+  AppendJsonNumber(os, plane.answers > 0
+                           ? static_cast<double>(run_all_planes) /
+                                 static_cast<double>(plane.answers)
+                           : 0.0);
   os << ", \"envelope_allocs_per_tuple\": ";
   AppendJsonNumber(os, tuples_processed_ > 0 ? envelope_allocs / tuples
                                              : 0.0);

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <iostream>
 #include <map>
 #include <string>
@@ -37,6 +38,31 @@ double Percentile(std::vector<uint64_t> v, double p) {
   return static_cast<double>(v[idx]);
 }
 
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
+
+/// CPU time of the whole process (every worker thread included).
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// One repeat's overhead-run answer throughput at r=1 and r=2.
+struct OverheadSample {
+  double wall_r1 = 0.0;
+  double wall_r2 = 0.0;
+  double cpu_r1 = 0.0;
+  double cpu_r2 = 0.0;
+};
+
 }  // namespace
 
 int main() {
@@ -49,7 +75,12 @@ int main() {
                            "Silent-failure recovery vs replication factor",
                            base);
 
+  // Every repeat's overhead-run throughputs: the replication scalars are
+  // medians over RJOIN_BENCH_REPEAT repeats, not the last repeat's value.
+  std::vector<OverheadSample> samples;
+
   bench::RunRepeated(json, [&] {
+    OverheadSample sample;
     std::vector<double> xs;
     std::vector<double> mirror_msgs_series, mirror_bytes_series;
     std::vector<double> answers_per_sec_series, msgs_per_node_series;
@@ -70,11 +101,21 @@ int main() {
       }
       workload::Experiment experiment(cfg);
       const auto start = std::chrono::steady_clock::now();
+      const double cpu_start = ProcessCpuSeconds();
       auto result = experiment.Run();
+      const double cpu_secs = ProcessCpuSeconds() - cpu_start;
       const double secs =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
+      const double answers = static_cast<double>(result.answers_delivered);
+      if (r == 1) {
+        sample.wall_r1 = Ratio(answers, secs);
+        sample.cpu_r1 = Ratio(answers, cpu_secs);
+      } else if (r == 2) {
+        sample.wall_r2 = Ratio(answers, secs);
+        sample.cpu_r2 = Ratio(answers, cpu_secs);
+      }
       json.AddTuplesProcessed(result.num_tuples);
       const auto& rs = experiment.engine().replication_stats();
 
@@ -195,15 +236,31 @@ int main() {
     json.AddScalar("answer_loss_rate", loss_series[1]);
     json.AddScalar("answer_loss_rate_r1", loss_series[0]);
     json.AddScalar("recovery_rounds_p99", recovery_p99_series[1]);
-    json.AddScalar("answers_per_sec_replication_off",
-                   answers_per_sec_series[0]);
-    json.AddScalar("answers_per_sec_r2", answers_per_sec_series[1]);
-    // The throughput cost of r=2 over replication off, as a factor.
-    json.AddScalar("replication_slowdown",
-                   answers_per_sec_series[1] > 0.0
-                       ? answers_per_sec_series[0] / answers_per_sec_series[1]
-                       : 0.0);
+    samples.push_back(sample);
   });
+
+  // The throughput cost of r=2 over replication off, as a factor: the
+  // median over repeats of each repeat's paired ratio, once on the wall
+  // clock and once on process CPU time (steadier on a shared host, whose
+  // wall clock follows the hypervisor's steal).
+  std::vector<double> wall_r1, wall_r2, cpu_r1, cpu_r2, slowdown, slowdown_cpu;
+  for (const OverheadSample& s : samples) {
+    wall_r1.push_back(s.wall_r1);
+    wall_r2.push_back(s.wall_r2);
+    cpu_r1.push_back(s.cpu_r1);
+    cpu_r2.push_back(s.cpu_r2);
+    slowdown.push_back(Ratio(s.wall_r1, s.wall_r2));
+    slowdown_cpu.push_back(Ratio(s.cpu_r1, s.cpu_r2));
+  }
+  json.AddScalar("answers_per_sec_replication_off", Median(wall_r1));
+  json.AddScalar("answers_per_sec_r2", Median(wall_r2));
+  json.AddScalar("replication_slowdown", Median(slowdown));
+  json.AddScalar("answers_per_cpu_sec_replication_off", Median(cpu_r1));
+  json.AddScalar("answers_per_cpu_sec_r2", Median(cpu_r2));
+  json.AddScalar("replication_slowdown_cpu", Median(slowdown_cpu));
+  std::cout << "replication_slowdown (median of " << samples.size()
+            << " repeats): wall " << Median(slowdown) << ", cpu "
+            << Median(slowdown_cpu) << "\n";
   json.Write();
   return 0;
 }

@@ -49,18 +49,14 @@ uint64_t AnswerRowFingerprint(const AnswerDeliver& msg) {
   return h;
 }
 
-/// Materializes the flat answer row at the user-facing sink — the one
-/// deliberate allocation left on the answer path, tagged kOther (answers
-/// are output, not rewrite-plane work; see docs/perf.md).
-std::vector<sql::Value> MaterializeRow(const AnswerDeliver& msg) {
-  stats::AllocScope plane(stats::AllocPlane::kOther);
-  std::vector<sql::Value> row;
-  row.reserve(msg.row_len);
-  ValueInterner& vi = ValueInterner::Global();
-  for (uint16_t i = 0; i < msg.row_len; ++i) {
-    row.push_back(vi.value(msg.row[i]));
-  }
-  return row;
+/// Materializes one logged answer for the user-facing readers (answers(),
+/// AnswersFor) — never on the delivery path.
+Answer ToAnswer(const AnswerLog::Record& r) {
+  Answer a{r.query_id, {}, r.delivered_at};
+  a.row.reserve(r.row_len);
+  const ValueInterner& vi = ValueInterner::Global();
+  for (uint16_t i = 0; i < r.row_len; ++i) a.row.push_back(vi.value(r.row[i]));
+  return a;
 }
 
 /// Reusable per-thread match buffer of the batched probe kernel (phase 1
@@ -104,6 +100,14 @@ std::vector<uint64_t>& RicRateBuffer() {
 }
 std::vector<dht::NodeIndex>& RicNodeBuffer() {
   static thread_local std::vector<dht::NodeIndex> buf;
+  return buf;
+}
+
+/// Positions of the candidates GatherRic must fetch along the chained
+/// request (cleared per call).
+std::vector<size_t>& RicUnknownBuffer() {
+  static thread_local std::vector<size_t> buf;
+  buf.clear();
   return buf;
 }
 
@@ -160,17 +164,21 @@ void RJoinEngine::OnBarrier(sim::SimTime round_start) {
   size_t staged = 0;
   for (const ShardSink& sink : sinks_) staged += sink.answers.size();
   if (staged > 0) {
-    std::vector<std::pair<runtime::EventKey, Answer>> merged;
+    std::vector<std::pair<runtime::EventKey, AnswerLog::Record>> merged;
     merged.reserve(staged);
-    for (ShardSink& sink : sinks_) {
-      merged.insert(merged.end(),
-                    std::make_move_iterator(sink.answers.begin()),
-                    std::make_move_iterator(sink.answers.end()));
-      sink.answers.clear();
+    for (const ShardSink& sink : sinks_) {
+      size_t i = 0;
+      sink.answers.ForEach([&](const AnswerLog::Record& r) {
+        merged.emplace_back(sink.answer_keys[i++], r);
+      });
     }
     std::sort(merged.begin(), merged.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [key, answer] : merged) answers_.push_back(std::move(answer));
+    for (const auto& [key, record] : merged) answers_.Append(record);
+    for (ShardSink& sink : sinks_) {
+      sink.answers.Clear();
+      sink.answer_keys.clear();
+    }
   }
   for (ShardSink& sink : sinks_) {
     distinct_suppressed_ += sink.distinct_suppressed;
@@ -976,9 +984,8 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
         return;
       }
     }
-    sink.answers.emplace_back(
-        runtime_->CurrentEventKey(),
-        Answer{msg.query_id, MaterializeRow(msg), Now()});
+    sink.answers.Append(msg.query_id, Now(), msg.row, msg.row_len);
+    sink.answer_keys.push_back(runtime_->CurrentEventKey());
     Metrics().AddAnswer();
     return;
   }
@@ -991,7 +998,7 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
       return;
     }
   }
-  answers_.push_back(Answer{msg.query_id, MaterializeRow(msg), Now()});
+  answers_.Append(msg.query_id, Now(), msg.row, msg.row_len);
   Metrics().AddAnswer();
 }
 
@@ -1004,7 +1011,7 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
   rates->resize(candidates.size());
   nodes->resize(candidates.size());
 
-  std::vector<size_t> unknown;
+  std::vector<size_t>& unknown = RicUnknownBuffer();
   for (size_t i = 0; i < candidates.size(); ++i) {
     const KeyId key = candidates[i];
     const RicEntry* cached =
@@ -1277,11 +1284,18 @@ void RJoinEngine::SweepWindows() {
   }
 }
 
+const std::vector<Answer>& RJoinEngine::answers() const {
+  answers_.ReadFrom(&answers_view_end_, [this](const AnswerLog::Record& r) {
+    answers_view_.push_back(ToAnswer(r));
+  });
+  return answers_view_;
+}
+
 std::vector<Answer> RJoinEngine::AnswersFor(uint64_t query_id) const {
   std::vector<Answer> out;
-  for (const Answer& a : answers_) {
-    if (a.query_id == query_id) out.push_back(a);
-  }
+  answers_.ForEach([&](const AnswerLog::Record& r) {
+    if (r.query_id == query_id) out.push_back(ToAnswer(r));
+  });
   return out;
 }
 

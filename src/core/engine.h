@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/answer_log.h"
 #include "core/interner.h"
 #include "core/key.h"
 #include "core/key_map.h"
@@ -308,9 +309,13 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   size_t num_nodes() const { return states_.size(); }
 
   /// All answers delivered so far (across queries), in delivery order.
-  const std::vector<Answer>& answers() const { return answers_; }
+  /// The store is the flat answer log; this is a view built lazily from
+  /// it — each call materializes only the rows delivered since the last
+  /// call, so a run that never asks pays no `sql::Value` row at all.
+  /// Driver-phase only (the view is not synchronized).
+  const std::vector<Answer>& answers() const;
 
-  /// Answers of one query.
+  /// Answers of one query, materialized straight from the log.
   std::vector<Answer> AnswersFor(uint64_t query_id) const;
 
   /// Published-tuple history (only if keep_history).
@@ -570,7 +575,10 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// owner-side state lives here too — a query's answers always arrive at
   /// its owner, i.e. on one fixed shard.
   struct alignas(64) ShardSink {
-    std::vector<std::pair<runtime::EventKey, Answer>> answers;
+    /// Answers delivered on this shard since the last barrier, in the
+    /// store's record format, with each record's EventKey alongside.
+    AnswerLog answers;
+    std::vector<runtime::EventKey> answer_keys;
     /// Per-DISTINCT-query delivered rows, as 64-bit fingerprints over the
     /// row's value ids (flat plane: no per-row key string).
     std::unordered_map<uint64_t, FlatU64Set> distinct_rows;
@@ -600,7 +608,11 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
 
   std::vector<std::unique_ptr<NodeState>> states_;
   std::unordered_map<uint64_t, InputQueryPtr> queries_;
-  std::vector<Answer> answers_;
+  /// The answer store (see answers()).
+  AnswerLog answers_;
+  /// answers()'s materialized view and how far into the log it reaches.
+  mutable std::vector<Answer> answers_view_;
+  mutable AnswerLog::Cursor answers_view_end_;
   /// Per-DISTINCT-query delivered row fingerprints (owner-side, serial
   /// path) — value-id FNV, same scheme as ShardSink::distinct_rows.
   std::unordered_map<uint64_t, FlatU64Set> distinct_rows_;

@@ -117,11 +117,12 @@ class FlatU64Set {
 
 /// Set of 64-bit projection fingerprints implementing the DISTINCT rule of
 /// Section 4 (a tuple triggers a stored query only if its projection over
-/// the referenced attributes is new). Most stored queries see at most a
-/// handful of distinct projections, so the first few fingerprints live
-/// inline in the StoredQuery record; only busier queries spill to one heap
-/// table — versus the seed's unordered_set<std::string> that heap-allocated
-/// the set, every bucket, and every projection string.
+/// the referenced attributes is new). Only DISTINCT queries ever insert, so
+/// the set is a null handle until its first Insert: every other stored
+/// query pays one pointer for it. The first Insert allocates the set's
+/// body, where the first few fingerprints live inline; busier queries
+/// spill to one heap table — versus the seed's unordered_set<std::string>
+/// that heap-allocated the set, every bucket, and every projection string.
 ///
 /// Fingerprints are 64-bit hashes of the projection text: two *different*
 /// projections can collide (probability ~n^2/2^64), in which case the later
@@ -135,63 +136,73 @@ class ProjectionSet {
 
   /// Inserts `fp`; returns false if it was already present.
   bool Insert(uint64_t fp) {
-    if (fp == 0) fp = kZeroAlias;  // 0 marks empty table slots
-    for (uint32_t i = 0; i < inline_count_; ++i) {
-      if (inline_[i] == fp) return false;
+    if (rep_ == nullptr) {
+      stats::AllocScope plane(stats::AllocPlane::kResidual);
+      rep_ = std::make_unique<Rep>();
     }
-    if (table_cap_ == 0) {
-      if (inline_count_ < kInline) {
-        inline_[inline_count_++] = fp;
-        ++size_;
-        return true;
-      }
-      GrowTable();
-    }
-    return TableInsert(fp);
+    return rep_->Insert(fp == 0 ? kZeroAlias : fp);  // 0 marks empty slots
   }
 
   /// Distinct fingerprints inserted so far.
-  uint32_t size() const { return size_; }
+  uint32_t size() const { return rep_ == nullptr ? 0 : rep_->size; }
+
+  /// False until the first Insert: an untouched set owns no heap memory.
+  bool allocated() const { return rep_ != nullptr; }
 
  private:
   static constexpr uint32_t kInline = 3;
   static constexpr uint64_t kZeroAlias = 0x9e3779b97f4a7c15ull;
 
-  bool TableInsert(uint64_t fp) {
-    if ((size_ + 1) * 10 >= table_cap_ * 7) GrowTable();
-    size_t i = fp & (table_cap_ - 1);
-    for (; table_[i] != 0; i = (i + 1) & (table_cap_ - 1)) {
-      if (table_[i] == fp) return false;
-    }
-    table_[i] = fp;
-    ++size_;
-    return true;
-  }
+  struct Rep {
+    uint64_t inline_fps[kInline] = {};
+    uint32_t inline_count = 0;
+    uint32_t size = 0;  // total distinct fingerprints (inline + table)
+    uint32_t table_cap = 0;
+    std::unique_ptr<uint64_t[]> table;
 
-  void GrowTable() {
-    stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
-    const uint32_t cap = table_cap_ == 0 ? 16 : table_cap_ * 2;
-    auto bigger = std::make_unique<uint64_t[]>(cap);
-    for (uint32_t i = 0; i < cap; ++i) bigger[i] = 0;
-    auto rehash = [&](uint64_t fp) {
-      size_t i = fp & (cap - 1);
-      while (bigger[i] != 0) i = (i + 1) & (cap - 1);
-      bigger[i] = fp;
-    };
-    for (uint32_t i = 0; i < table_cap_; ++i) {
-      if (table_[i] != 0) rehash(table_[i]);
+    bool Insert(uint64_t fp) {
+      for (uint32_t i = 0; i < inline_count; ++i) {
+        if (inline_fps[i] == fp) return false;
+      }
+      if (table_cap == 0) {
+        if (inline_count < kInline) {
+          inline_fps[inline_count++] = fp;
+          ++size;
+          return true;
+        }
+        GrowTable();
+      }
+      if ((size + 1) * 10 >= table_cap * 7) GrowTable();
+      size_t i = fp & (table_cap - 1);
+      for (; table[i] != 0; i = (i + 1) & (table_cap - 1)) {
+        if (table[i] == fp) return false;
+      }
+      table[i] = fp;
+      ++size;
+      return true;
     }
-    for (uint32_t i = 0; i < inline_count_; ++i) rehash(inline_[i]);
-    inline_count_ = 0;
-    table_ = std::move(bigger);
-    table_cap_ = cap;
-  }
 
-  uint64_t inline_[kInline] = {};
-  uint32_t inline_count_ = 0;
-  uint32_t size_ = 0;  // total distinct fingerprints (inline + table)
-  uint32_t table_cap_ = 0;
-  std::unique_ptr<uint64_t[]> table_;
+    void GrowTable() {
+      stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
+      const uint32_t cap = table_cap == 0 ? 16 : table_cap * 2;
+      auto bigger = std::make_unique<uint64_t[]>(cap);
+      for (uint32_t i = 0; i < cap; ++i) bigger[i] = 0;
+      auto rehash = [&](uint64_t fp) {
+        size_t i = fp & (cap - 1);
+        while (bigger[i] != 0) i = (i + 1) & (cap - 1);
+        bigger[i] = fp;
+      };
+      for (uint32_t i = 0; i < table_cap; ++i) {
+        if (table[i] != 0) rehash(table[i]);
+      }
+      for (uint32_t i = 0; i < inline_count; ++i) rehash(inline_fps[i]);
+      inline_count = 0;
+      table = std::move(bigger);
+      table_cap = cap;
+    }
+  };
+
+  std::unique_ptr<Rep> rep_;
 };
 
 /// A query (input or rewritten) stored at a node, bucketed under the
@@ -200,6 +211,8 @@ struct StoredQuery {
   Residual residual;
   ProjectionSet seen_projections;
 };
+static_assert(sizeof(ProjectionSet) == sizeof(void*),
+              "a non-DISTINCT stored query pays one pointer for DISTINCT");
 
 /// Fingerprint for DISTINCT set semantics of a stored residual: the
 /// interned key id folded into the residual's 64-bit content fingerprint

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "stats/alloc_tracker.h"
@@ -29,6 +30,12 @@ namespace rjoin::core {
 /// base << kMaxDoublings nodes per slab so a huge pool never over-commits
 /// more than one capped slab of slack.
 ///
+/// Slabs are raw storage: a node is constructed when Allocate first hands
+/// its index out and destroyed with the pool, so a fresh slab's slack is
+/// never written — with doubling slabs that slack is up to half the pool,
+/// and untouched pages are never faulted in. Nodes in [0, allocated())
+/// are constructed; everything past the high-water mark is not.
+///
 /// Single-threaded by design: each NodeState owns its pools, and a node's
 /// events execute on exactly one shard.
 template <typename T>
@@ -40,6 +47,8 @@ class SlabPool {
     T value{};
     uint32_t next = kNil;
   };
+  static_assert(alignof(Node) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "slabs come from plain operator new");
 
   /// `slab_nodes` (the first slab's capacity) must be a power of two.
   explicit SlabPool(uint32_t slab_nodes = 64)
@@ -48,6 +57,10 @@ class SlabPool {
   }
   SlabPool(const SlabPool&) = delete;
   SlabPool& operator=(const SlabPool&) = delete;
+
+  ~SlabPool() {
+    for (uint32_t idx = 0; idx < allocated_; ++idx) at(idx).~Node();
+  }
 
   /// Hands out a clean node (freelist hit in steady state) with
   /// next == kNil; returns its index.
@@ -62,13 +75,18 @@ class SlabPool {
       n.next = kNil;
       return idx;
     }
-    const uint32_t idx = allocated_++;
+    const uint32_t idx = allocated_;
     if (idx == capacity_) {
       stats::AllocScope plane(stats::AllocPlane::kPoolCapacity);
       const uint32_t cap = SlabCapacity(static_cast<uint32_t>(slabs_.size()));
-      slabs_.push_back(std::make_unique<Node[]>(cap));
+      std::unique_ptr<Node, SlabDeleter> slab(
+          static_cast<Node*>(::operator new(cap * sizeof(Node))));
+      slabs_.push_back(std::move(slab));
       capacity_ += cap;
     }
+    const Location loc = Locate(idx);
+    ::new (static_cast<void*>(slabs_[loc.slab].get() + loc.offset)) Node();
+    ++allocated_;
     return idx;
   }
 
@@ -86,12 +104,12 @@ class SlabPool {
   Node& at(uint32_t idx) {
     RJOIN_DCHECK(idx < allocated_);
     const Location loc = Locate(idx);
-    return slabs_[loc.slab][loc.offset];
+    return slabs_[loc.slab].get()[loc.offset];
   }
   const Node& at(uint32_t idx) const {
     RJOIN_DCHECK(idx < allocated_);
     const Location loc = Locate(idx);
-    return slabs_[loc.slab][loc.offset];
+    return slabs_[loc.slab].get()[loc.offset];
   }
 
   /// Nodes ever created (the high-water mark) / currently in use.
@@ -136,8 +154,13 @@ class SlabPool {
             ((v & (kGeomUnits)) << base_shift_) | (idx & low_mask)};
   }
 
+  /// Frees a slab's storage; the nodes in it were destroyed by ~SlabPool.
+  struct SlabDeleter {
+    void operator()(Node* slab) const { ::operator delete(slab); }
+  };
+
   const uint32_t base_shift_;
-  std::vector<std::unique_ptr<Node[]>> slabs_;
+  std::vector<std::unique_ptr<Node, SlabDeleter>> slabs_;
   uint32_t capacity_ = 0;
   uint32_t allocated_ = 0;
   uint32_t live_ = 0;

@@ -390,7 +390,8 @@ bool RJoinEngine::AcceptsMirror(dht::NodeIndex self, KeyId key,
   // after it was emitted. The one exception is a crashed owner's last
   // mirrors: they land before the promotion notice runs here (ApplyCrash),
   // and the promotion installs them.
-  return network_->SuccessorOf(interner_->ring_id(key)) != self ||
+  return transport_->CachedSuccessorOf(key, interner_->ring_id(key)) !=
+             self ||
          crashed_[from];
 }
 

@@ -184,6 +184,15 @@ class Transport : public core::EnvelopeDispatcher {
   /// on a foreign shard, whose route cache this thread must not touch.
   size_t ChargeRoute(NodeIndex src, const NodeId& key, bool ric);
 
+  /// Resolves Successor(ring_id) through the thread's SuccessorCache
+  /// (destination resolution is sender-independent, so the fan-out's
+  /// grouping pass shares one memo across every node this thread runs).
+  /// Entries are stamped with the topology generation, so the answer is
+  /// always the current ring's. Falls back to the ring search when the
+  /// cache is disabled or the key is not interned. Counts one route-cache
+  /// hit or miss.
+  NodeIndex CachedSuccessorOf(core::KeyId key_id, const NodeId& ring_id);
+
   /// Route-cache kill switch (RJOIN_ROUTE_CACHE=0 disables; default on).
   /// With the cache off every send recomputes its path — the oracle the
   /// cache must match bit-for-bit.
@@ -254,12 +263,6 @@ class Transport : public core::EnvelopeDispatcher {
   RouteView ResolveRoute(NodeIndex src, core::KeyId key_id,
                          const NodeId& ring_id);
 
-  /// Resolves Successor(ring_id) through the thread's SuccessorCache
-  /// (destination resolution is sender-independent, so the fan-out's
-  /// grouping pass shares one memo across every node this thread runs).
-  /// Falls back to the ring search when the cache is disabled or the key
-  /// is not interned.
-  NodeIndex CachedSuccessorOf(core::KeyId key_id, const NodeId& ring_id);
 
   /// Destination-coalesced emission of a kRouteGroup chain (serial inline,
   /// router worker-phase, or dispatched deferred chain). Returns total wire

@@ -2,11 +2,17 @@
 // ObserveStreamHistoryBulk must be observationally identical to the
 // equivalent sequence of per-tuple calls — same answers, same message
 // counts, same stored state — while error paths must leave no partial state.
+//
+// Also holds the answer-sink tests: the flat answer log and its lazily
+// built answers() view must deliver exactly the rows, order and times a
+// per-answer materializing sink would, serially and on the sharded runtime.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -482,6 +488,183 @@ TEST(ShardedBatchTest, ObserveBulkMatchesSinglesOnTheShardedRuntime) {
   }
   ExpectEquivalent(bulk, singles);
 }
+
+// ------------------------------------------------------ flat answer log --
+//
+// The engine stores answers as flat records in an append-only log and
+// materializes sql::Value rows only when answers()/AnswersFor() ask.
+// AnswerTap is the reference: a sink that materializes every AnswerDeliver
+// at delivery — the representation the log replaced — keyed by the
+// delivering event and merged in EventKey order, as the per-shard staging
+// merges at barriers.
+
+class AnswerTap : public dht::MessageHandler {
+ public:
+  explicit AnswerTap(Harness* h) : h_(h) { h->transport.set_handler(this); }
+
+  void HandleMessage(dht::NodeIndex self, MessageTask&& task) override {
+    if (task.kind() == MessageKind::kAnswerDeliver) Record(task.answer());
+    h_->engine.HandleMessage(self, std::move(task));
+  }
+
+  /// Every delivered row in delivery order (DISTINCT duplicates included).
+  std::vector<Answer> Rows() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::stable_sort(
+        staged_.begin(), staged_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<Answer> rows;
+    for (const auto& [key, answer] : staged_) rows.push_back(answer);
+    return rows;
+  }
+
+ private:
+  void Record(const AnswerDeliver& m) {
+    const bool sharded = h_->runtime != nullptr;
+    Answer a{m.query_id, {},
+             sharded ? h_->runtime->Now() : h_->simulator.Now()};
+    for (uint16_t i = 0; i < m.row_len; ++i) {
+      a.row.push_back(ValueInterner::Global().value(m.row[i]));
+    }
+    // Serially every key is equal and the stable sort keeps arrival order.
+    const runtime::EventKey key =
+        sharded ? h_->runtime->CurrentEventKey() : runtime::EventKey{};
+    std::lock_guard<std::mutex> lock(mu_);
+    staged_.emplace_back(key, std::move(a));
+  }
+
+  Harness* h_;
+  std::mutex mu_;
+  std::vector<std::pair<runtime::EventKey, Answer>> staged_;
+};
+
+std::string AnswerKey(const Answer& a) {
+  return std::to_string(a.query_id) + "@" + std::to_string(a.delivered_at) +
+         "/" + sql::AnswerRowKey(a.row);
+}
+
+std::vector<std::string> AnswerKeys(const std::vector<Answer>& answers) {
+  std::vector<std::string> keys;
+  for (const Answer& a : answers) keys.push_back(AnswerKey(a));
+  return keys;
+}
+
+/// Submits two- and three-way joins (DISTINCT when asked), each from two
+/// owners, and publishes a seeded stream over a 3-value domain in bursts
+/// of four tuples per run: joins complete often, rows repeat, and answers
+/// of one run land on every shard at interleaved times. Returns the query
+/// ids.
+std::vector<uint64_t> RunDenseWorkload(Harness& h, bool distinct,
+                                       int tuples) {
+  const std::string select = distinct ? "SELECT DISTINCT " : "SELECT ";
+  const std::vector<std::string> queries = {
+      select + "R.B, S.B FROM R, S WHERE R.A = S.A",
+      select + "S.C, P.C FROM S, P WHERE S.B = P.B",
+      select + "R.A, P.C FROM R, S, P WHERE R.A = S.A AND S.B = P.B",
+  };
+  const dht::NodeIndex owners[] = {60, 5, 40, 20, 50, 30};
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < 2 * queries.size(); ++i) {
+    ids.push_back(h.Submit(owners[i], queries[i % queries.size()]));
+  }
+  const char* relations[] = {"R", "S", "P"};
+  Rng rng(11);
+  for (int i = 0; i < tuples; ++i) {
+    const char* rel = relations[rng.NextBounded(3)];
+    const auto row = Row({rng.NextInt(0, 2), rng.NextInt(0, 2),
+                          rng.NextInt(0, 2)});
+    EXPECT_TRUE(
+        h.engine.PublishTuple(static_cast<dht::NodeIndex>(i % 64), rel, row)
+            .ok());
+    if (i % 4 == 3) h.Run();
+  }
+  h.Run();
+  return ids;
+}
+
+class AnswerLogTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(AnswerLogTest, ViewEqualsMaterializedDeliveriesInOrder) {
+  Harness h(64, EngineConfig{}, /*seed=*/7, /*shards=*/GetParam());
+  AnswerTap tap(&h);
+  RunDenseWorkload(h, /*distinct=*/false, /*tuples=*/40);
+  const std::vector<Answer> expected = tap.Rows();
+  ASSERT_GT(expected.size(), 50u);
+  EXPECT_EQ(AnswerKeys(h.engine.answers()), AnswerKeys(expected));
+}
+
+TEST_P(AnswerLogTest, SecondCallAppendsOnlyNewDeliveries) {
+  Harness h(64, EngineConfig{}, /*seed=*/7, /*shards=*/GetParam());
+  AnswerTap tap(&h);
+  RunDenseWorkload(h, /*distinct=*/false, /*tuples=*/25);
+  const std::vector<Answer>& first = h.engine.answers();
+  const std::vector<std::string> first_keys = AnswerKeys(first);
+  ASSERT_FALSE(first_keys.empty());
+  // Nothing delivered in between: the same view, not rebuilt.
+  const Answer* data = first.data();
+  EXPECT_EQ(&h.engine.answers(), &first);
+  EXPECT_EQ(h.engine.answers().data(), data);
+
+  for (const auto& [rel, ints] : StreamRows()) {
+    ASSERT_TRUE(h.engine.PublishTuple(5, rel, Row(ints)).ok());
+    h.Run();
+  }
+  const std::vector<Answer> all = tap.Rows();
+  ASSERT_GT(all.size(), first_keys.size());
+  const std::vector<std::string> second = AnswerKeys(h.engine.answers());
+  EXPECT_EQ(second, AnswerKeys(all));
+  // The rows the first call returned are still the view's prefix.
+  EXPECT_TRUE(std::equal(first_keys.begin(), first_keys.end(),
+                         second.begin()));
+}
+
+TEST_P(AnswerLogTest, AnswersForIsAFilterOfAnswers) {
+  Harness h(64, EngineConfig{}, /*seed=*/7, /*shards=*/GetParam());
+  const std::vector<uint64_t> ids =
+      RunDenseWorkload(h, /*distinct=*/false, /*tuples=*/40);
+  size_t total = 0;
+  for (uint64_t id : ids) {
+    std::vector<Answer> filtered;
+    for (const Answer& a : h.engine.answers()) {
+      if (a.query_id == id) filtered.push_back(a);
+    }
+    EXPECT_FALSE(filtered.empty()) << "query " << id;
+    EXPECT_EQ(AnswerKeys(h.engine.AnswersFor(id)), AnswerKeys(filtered));
+    total += filtered.size();
+  }
+  EXPECT_EQ(total, h.engine.answers().size());
+  EXPECT_TRUE(h.engine.AnswersFor(9999).empty());
+}
+
+TEST_P(AnswerLogTest, DistinctSuppressionIsExact) {
+  Harness h(64, EngineConfig{}, /*seed=*/7, /*shards=*/GetParam());
+  AnswerTap tap(&h);
+  RunDenseWorkload(h, /*distinct=*/true, /*tuples=*/40);
+  // Reference dedup over the materialized rows: the first delivery of each
+  // (query, row) is kept, every later one is suppressed.
+  std::set<std::string> seen;
+  std::vector<std::string> kept;
+  uint64_t suppressed = 0;
+  for (const Answer& a : tap.Rows()) {
+    const std::string row =
+        std::to_string(a.query_id) + "/" + sql::AnswerRowKey(a.row);
+    if (seen.insert(row).second) {
+      kept.push_back(AnswerKey(a));
+    } else {
+      ++suppressed;
+    }
+  }
+  ASSERT_GT(suppressed, 0u);
+  EXPECT_EQ(h.engine.distinct_suppressed(), suppressed);
+  EXPECT_EQ(AnswerKeys(h.engine.answers()), kept);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, AnswerLogTest, ::testing::Values(0, 1, 4, 7),
+                         [](const auto& info) {
+                           return info.param == 0
+                                      ? std::string("Serial")
+                                      : "S" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace rjoin::core

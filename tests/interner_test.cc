@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/answer_log.h"
 #include "core/engine.h"
 #include "core/interner.h"
 #include "core/key_map.h"
@@ -330,6 +331,98 @@ TEST(ProjectionSetTest, CollidingFingerprintsAreSuppressed) {
   // and one hashing to the alias constant collide.
   EXPECT_TRUE(set.Insert(0));
   EXPECT_FALSE(set.Insert(0x9e3779b97f4a7c15ull));
+}
+
+// A non-DISTINCT stored query never inserts, so its set must cost one
+// null pointer and no heap memory, whatever is moved around.
+TEST(ProjectionSetTest, EmptySetOwnsNoHeapMemory) {
+  static_assert(sizeof(ProjectionSet) == sizeof(void*));
+  const stats::AllocCounts before = stats::ReadAllocCounts();
+  std::vector<ProjectionSet> sets(8);
+  ProjectionSet moved = std::move(sets[3]);
+  sets[5] = std::move(moved);
+  const stats::AllocCounts after = stats::ReadAllocCounts();
+  // Only the vector's own buffer.
+  uint64_t allocs = 0;
+  for (int p = 0; p < stats::kNumAllocPlanes; ++p) {
+    allocs += after.counts[p] - before.counts[p];
+  }
+  EXPECT_EQ(allocs, 1u);
+  for (const ProjectionSet& set : sets) {
+    EXPECT_FALSE(set.allocated());
+    EXPECT_EQ(set.size(), 0u);
+  }
+  EXPECT_TRUE(sets[0].Insert(7));
+  EXPECT_TRUE(sets[0].allocated());
+  EXPECT_EQ(sets[0].size(), 1u);
+}
+
+// ---------------------------------------------------------------- AnswerLog --
+
+TEST(AnswerLogTest, RecordsRoundTripAcrossBlocks) {
+  // Enough records of varying width to fill several 64 KiB blocks.
+  AnswerLog log;
+  constexpr int kRecords = 20000;
+  ValueId row[kMaxSelectItems];
+  for (int i = 0; i < kRecords; ++i) {
+    const uint16_t len = static_cast<uint16_t>(1 + i % kMaxSelectItems);
+    for (uint16_t c = 0; c < len; ++c) row[c] = static_cast<ValueId>(i + c);
+    log.Append(uint64_t{1} << 40 | static_cast<uint64_t>(i),
+               uint64_t{3} << 35 | static_cast<uint64_t>(i) * 7, row, len);
+  }
+  EXPECT_EQ(log.size(), static_cast<size_t>(kRecords));
+  int i = 0;
+  log.ForEach([&](const AnswerLog::Record& r) {
+    const uint16_t len = static_cast<uint16_t>(1 + i % kMaxSelectItems);
+    EXPECT_EQ(r.query_id, uint64_t{1} << 40 | static_cast<uint64_t>(i));
+    EXPECT_EQ(r.delivered_at,
+              uint64_t{3} << 35 | static_cast<uint64_t>(i) * 7);
+    ASSERT_EQ(r.row_len, len);
+    for (uint16_t c = 0; c < len; ++c) {
+      EXPECT_EQ(r.row[c], static_cast<ValueId>(i + c));
+    }
+    ++i;
+  });
+  EXPECT_EQ(i, kRecords);
+}
+
+TEST(AnswerLogTest, CursorResumesAndClearReusesBlocks) {
+  AnswerLog log;
+  const ValueId row[2] = {5, 6};
+  AnswerLog::Cursor cursor;
+  std::vector<uint64_t> seen;
+  auto read = [&] {
+    log.ReadFrom(&cursor, [&](const AnswerLog::Record& r) {
+      seen.push_back(r.query_id);
+    });
+  };
+  read();
+  EXPECT_TRUE(seen.empty());
+  // Resume across a block boundary: 3000 two-column records fill more
+  // than one block.
+  for (uint64_t q = 0; q < 3000; ++q) {
+    log.Append(q, q, row, 2);
+    if (q % 1000 == 999) read();
+  }
+  read();  // nothing new
+  ASSERT_EQ(seen.size(), 3000u);
+  for (uint64_t q = 0; q < 3000; ++q) EXPECT_EQ(seen[q], q);
+
+  // Clear keeps the blocks: refilling to the same size allocates nothing.
+  log.Clear();
+  EXPECT_EQ(log.size(), 0u);
+  size_t records = 0;
+  log.ForEach([&](const AnswerLog::Record&) { ++records; });
+  EXPECT_EQ(records, 0u);
+  const stats::AllocCounts before = stats::ReadAllocCounts();
+  for (uint64_t q = 0; q < 3000; ++q) log.Append(q + 1, q, row, 2);
+  const stats::AllocCounts after = stats::ReadAllocCounts();
+  EXPECT_EQ(after.pool_capacity(), before.pool_capacity());
+  uint64_t expect = 1;
+  log.ForEach([&](const AnswerLog::Record& r) {
+    EXPECT_EQ(r.query_id, expect++);
+  });
+  EXPECT_EQ(expect, 3001u);
 }
 
 // ---------------------------------------------------------------- SlabPool --

@@ -18,6 +18,7 @@
 
 #include "core/engine.h"
 #include "core/messages.h"
+#include "core/slab_pool.h"
 #include "core/tuple_ref.h"
 #include "dht/chord_network.h"
 #include "dht/transport.h"
@@ -45,6 +46,54 @@ void ExpectSlabPoolsBalanced(const RJoinEngine& engine) {
               st.altt_pool.live())
         << "altt_pool imbalance at node " << n;
   }
+}
+
+/// A value type that counts its live instances, so a test can see which
+/// pool nodes exist.
+struct Counted {
+  static inline int live = 0;
+  Counted() { ++live; }
+  Counted(const Counted&) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { --live; }
+};
+
+TEST(PoolBalanceTest, SlabPoolConstructsOnlyHandedOutNodes) {
+  Counted::live = 0;
+  {
+    SlabPool<Counted> pool(64);
+    EXPECT_EQ(Counted::live, 0);
+    std::vector<uint32_t> held;
+    for (int i = 0; i < 3; ++i) held.push_back(pool.Allocate());
+    // The first slab holds 64 nodes; only the three handed out exist.
+    EXPECT_EQ(Counted::live, 3);
+
+    // A freed node keeps its (reset) value and is handed out again.
+    pool.Free(held[1]);
+    EXPECT_EQ(Counted::live, 3);
+    EXPECT_EQ(pool.Allocate(), held[1]);
+    EXPECT_EQ(pool.allocated(), 3u);
+    EXPECT_EQ(Counted::live, 3);
+
+    // Past the first slab: the doubled second slab (128) is built only as
+    // far as the high-water mark reaches.
+    for (int i = 0; i < 70; ++i) held.push_back(pool.Allocate());
+    EXPECT_EQ(pool.allocated(), 73u);
+    EXPECT_EQ(Counted::live, 73);
+
+    for (uint32_t idx : held) pool.Free(idx);
+    EXPECT_EQ(pool.live(), 0u);
+    EXPECT_EQ(pool.acquired() - pool.released(), pool.live());
+    EXPECT_EQ(pool.recycled(), 1u);
+    // Every index comes back from the freelist: nothing new is built.
+    for (int i = 0; i < 73; ++i) pool.Allocate();
+    EXPECT_EQ(pool.allocated(), 73u);
+    EXPECT_EQ(pool.recycled(), 74u);
+    EXPECT_EQ(pool.acquired() - pool.released(), pool.live());
+    EXPECT_EQ(Counted::live, 73);
+  }
+  // The pool destroyed exactly the nodes it constructed.
+  EXPECT_EQ(Counted::live, 0);
 }
 
 TEST(PoolBalanceTest, WindowedGcHeavyRunReturnsEveryPooledRecord) {

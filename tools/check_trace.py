@@ -28,6 +28,8 @@ REQUIRED_SCALARS = [
     "tuples_per_sec",
     "messages_per_sec",
     "allocs_per_tuple",
+    "peak_rss_mb",
+    "allocs_per_answer",
     "interned_keys",
     "interner_hit_rate",
     "route_cache_hit_rate",
