@@ -66,6 +66,20 @@ void BM_InternHitValueKey(benchmark::State& state) {
 }
 BENCHMARK(BM_InternHitValueKey);
 
+// The same key through the structured (attribute KeyId, ValueId) index the
+// rewrite planner uses: one probe, no key text.
+void BM_InternValueIdHit(benchmark::State& state) {
+  core::KeyInterner interner;
+  const core::KeyId attr = interner.InternAttribute("R0", "A3");
+  const core::ValueId v =
+      core::ValueInterner::Global().Intern(sql::Value::Int(42));
+  interner.InternValue(attr, v);  // first sight outside the loop
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(interner.InternValue(attr, v));
+  }
+}
+BENCHMARK(BM_InternValueIdHit);
+
 // Resolving the cached ring id from an interned key (what Transport's
 // SendKey routes on) — replaces a per-message SHA-1.
 void BM_InternedRingId(benchmark::State& state) {
@@ -146,6 +160,19 @@ void BM_RouteResolveUncached(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RouteResolveUncached)->Arg(256)->Arg(1024);
+
+// Successor resolution on the same spread keys (BM_ChordSuccessor's
+// FromUint64 keys all resolve to the first ring node).
+void BM_ChordSuccessorSpread(benchmark::State& state) {
+  auto net = dht::ChordNetwork::Create(static_cast<size_t>(state.range(0)),
+                                       1);
+  const std::vector<dht::NodeId> keys = SpreadKeys();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net->SuccessorOf(keys[i++ % kRouteKeys]));
+  }
+}
+BENCHMARK(BM_ChordSuccessorSpread)->Arg(256)->Arg(1024);
 
 void BM_RouteResolveCached(benchmark::State& state) {
   auto net = dht::ChordNetwork::Create(static_cast<size_t>(state.range(0)),

@@ -93,13 +93,9 @@ std::vector<KeyId>& CandidateBuffer() {
   return buf;
 }
 
-/// Reusable per-thread RIC gather scratch (rates / responsible nodes).
-std::vector<uint64_t>& RicRateBuffer() {
-  static thread_local std::vector<uint64_t> buf;
-  return buf;
-}
-std::vector<dht::NodeIndex>& RicNodeBuffer() {
-  static thread_local std::vector<dht::NodeIndex> buf;
+/// Reusable per-thread RIC gather scratch (one entry per candidate).
+std::vector<RicEntry>& RicEntryBuffer() {
+  static thread_local std::vector<RicEntry> buf;
   return buf;
 }
 
@@ -1004,13 +1000,14 @@ void RJoinEngine::OnAnswer(dht::NodeIndex self, AnswerDeliver& msg) {
 
 void RJoinEngine::GatherRic(dht::NodeIndex src,
                             const std::vector<KeyId>& candidates,
-                            std::vector<uint64_t>* rates,
-                            std::vector<dht::NodeIndex>* nodes) {
+                            std::vector<RicEntry>* entries) {
   const uint64_t now = Now();
   NodeState& st = state(src);
-  rates->resize(candidates.size());
-  nodes->resize(candidates.size());
+  entries->resize(candidates.size());
 
+  // Every entry learned here is stamped `now`, and no table entry is newer
+  // (entries are stamped when learned, before they can travel), so Merge
+  // keeps each one: the table ends up holding exactly `*entries`.
   std::vector<size_t>& unknown = RicUnknownBuffer();
   for (size_t i = 0; i < candidates.size(); ++i) {
     const KeyId key = candidates[i];
@@ -1018,22 +1015,22 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
         config_.reuse_ric_info ? st.ct.Find(key) : nullptr;
     if (cached != nullptr && now - cached->timestamp <= config_.ct_validity) {
       // Fresh cache hit (Section 7): no messages at all.
-      (*rates)[i] = cached->rate;
-      (*nodes)[i] = cached->node;
+      (*entries)[i] = *cached;
     } else if (cached != nullptr) {
       // Stale but the responsible node's address is known: refresh with a
       // 2-message direct exchange instead of an O(log N) route.
       const dht::NodeIndex cand =
-          network_->SuccessorOf(interner_->ring_id(key));
+          transport_->CachedSuccessorOf(key, interner_->ring_id(key));
       if (config_.charge_ric_messages) {
         transport_->ChargeTraffic(src, 1, /*ric=*/true);
         transport_->ChargeTraffic(cand, 1, /*ric=*/true);
       }
-      const uint64_t rate = ReadRate(cand, key, now);
-      (*rates)[i] = rate;
-      (*nodes)[i] = cand;
-      st.ct.Merge(
-          RicEntry{.key = key, .node = cand, .rate = rate, .timestamp = now});
+      (*entries)[i] = RicEntry{.key = key,
+                               .node = cand,
+                               .rate = ReadRate(cand, key, now),
+                               .timestamp = now};
+      st.ct.Merge((*entries)[i]);
+      RJOIN_DCHECK(st.ct.Find(key)->timestamp == now);
     } else {
       unknown.push_back(i);
     }
@@ -1047,16 +1044,18 @@ void RJoinEngine::GatherRic(dht::NodeIndex src,
   // messages; the later index message is the "+1" more.
   dht::NodeIndex prev = src;
   for (size_t i : unknown) {
-    const dht::NodeId& ring = interner_->ring_id(candidates[i]);
-    const dht::NodeIndex cand = network_->SuccessorOf(ring);
+    const KeyId key = candidates[i];
+    const dht::NodeId& ring = interner_->ring_id(key);
+    const dht::NodeIndex cand = transport_->CachedSuccessorOf(key, ring);
     if (config_.charge_ric_messages) {
       transport_->ChargeRoute(prev, ring, /*ric=*/true);
     }
-    const uint64_t rate = ReadRate(cand, candidates[i], now);
-    (*rates)[i] = rate;
-    (*nodes)[i] = cand;
-    st.ct.Merge(RicEntry{
-        .key = candidates[i], .node = cand, .rate = rate, .timestamp = now});
+    (*entries)[i] = RicEntry{.key = key,
+                             .node = cand,
+                             .rate = ReadRate(cand, key, now),
+                             .timestamp = now};
+    st.ct.Merge((*entries)[i]);
+    RJOIN_DCHECK(st.ct.Find(key)->timestamp == now);
     prev = cand;
   }
   if (config_.charge_ric_messages) {
@@ -1068,8 +1067,7 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
   // Candidate enumeration fills a reusable thread-local buffer — the
   // per-rewrite hot path does not allocate here once warm.
   std::vector<KeyId>& candidates = CandidateBuffer();
-  IndexingCandidates(residual, config_.rewrite_levels, *interner_,
-                     &candidates);
+  IndexingCandidates(residual, config_.rewrite_levels, &candidates);
   RJOIN_CHECK(!candidates.empty())
       << "residual of query " << residual.origin()->query_id()
       << " has no indexing candidates";
@@ -1077,6 +1075,7 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
   size_t chosen = 0;
   bool address_known = false;
   dht::NodeIndex chosen_node = dht::kInvalidNode;
+  const std::vector<RicEntry>* ric = nullptr;  // kRic: gathered entries
 
   switch (config_.policy) {
     case PlannerPolicy::kFirstInClause:
@@ -1099,8 +1098,8 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
       uint64_t worst_rate = 0;
       const uint64_t now = Now();
       for (size_t i = 0; i < candidates.size(); ++i) {
-        const dht::NodeIndex cand =
-            network_->SuccessorOf(interner_->ring_id(candidates[i]));
+        const dht::NodeIndex cand = transport_->CachedSuccessorOf(
+            candidates[i], interner_->ring_id(candidates[i]));
         const uint64_t rate = ReadRate(cand, candidates[i], now);
         if (rate > worst_rate) {
           worst_rate = rate;
@@ -1120,24 +1119,25 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
       break;
     }
     case PlannerPolicy::kRic: {
-      std::vector<uint64_t>& rates = RicRateBuffer();
-      std::vector<dht::NodeIndex>& nodes = RicNodeBuffer();
-      GatherRic(src, candidates, &rates, &nodes);
+      std::vector<RicEntry>& gathered = RicEntryBuffer();
+      GatherRic(src, candidates, &gathered);
+      ric = &gathered;
       uint64_t best = UINT64_MAX;
       for (size_t i = 0; i < candidates.size(); ++i) {
         // Strictly lower rate wins; on ties prefer value-level keys (finer
         // grain, better load distribution), then clause order.
+        const uint64_t rate = (*ric)[i].rate;
         const bool better =
-            rates[i] < best ||
-            (rates[i] == best &&
+            rate < best ||
+            (rate == best &&
              interner_->level(candidates[chosen]) == Level::kAttribute &&
              interner_->level(candidates[i]) == Level::kValue);
         if (better) {
-          best = rates[i];
+          best = rate;
           chosen = i;
         }
       }
-      chosen_node = nodes[chosen];
+      chosen_node = (*ric)[chosen].node;
       address_known = chosen_node != dht::kInvalidNode;
       break;
     }
@@ -1147,14 +1147,15 @@ void RJoinEngine::IndexResidual(dht::NodeIndex src, Residual residual) {
 
   // Section 7: pack the RIC info we hold for this residual's candidate keys
   // so the next node can avoid re-asking (typically only the one new
-  // implied triple needs a lookup there).
+  // implied triple needs a lookup there). After a RIC gather the table's
+  // entries for the candidates are the gathered ones.
   NodeState& st = state(src);
   RicVec piggyback;
   if (config_.reuse_ric_info) {
-    for (KeyId c : candidates) {
-      if (const RicEntry* e = st.ct.Find(c)) {
-        if (!piggyback.TryPush(*e)) break;  // Inline cap: first kCap win.
-      }
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const RicEntry* e =
+          ric != nullptr ? &(*ric)[i] : st.ct.Find(candidates[i]);
+      if (e != nullptr && !piggyback.TryPush(*e)) break;  // first kCap win
     }
   }
 

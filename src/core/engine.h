@@ -370,11 +370,13 @@ class RJoinEngine : public dht::MessageHandler, public runtime::BarrierHook {
   /// RIC gathering and candidate-table reuse of Section 7) and ships it.
   void IndexResidual(dht::NodeIndex src, Residual residual);
 
-  /// RIC acquisition for a candidate set; fills predicted rates and
-  /// responsible nodes, charging messages per Sections 6-7 when enabled.
+  /// RIC acquisition for a candidate set, charging messages per Sections
+  /// 6-7 when enabled. Fills `(*entries)[i]` with candidate i's RIC entry
+  /// (predicted rate, responsible node), which is also what src's
+  /// candidate table holds for it afterwards, so the caller can piggy-back
+  /// the entries without probing the table again.
   void GatherRic(dht::NodeIndex src, const std::vector<KeyId>& candidates,
-                 std::vector<uint64_t>* rates,
-                 std::vector<dht::NodeIndex>* nodes);
+                 std::vector<RicEntry>* entries);
 
   void OnNewTuple(dht::NodeIndex self, TuplePublish& msg);
   /// Shared body of kQueryIndex and kRewrite (Procedures 2 and 3 store and

@@ -16,6 +16,16 @@ uint64_t HashKey(std::string_view text, Level level) {
   return h;
 }
 
+/// Packs a structured value key's (attribute KeyId, ValueId) pair; the +1
+/// keeps 0 free as the empty-slot marker.
+uint64_t PackPair(KeyId attr_key, ValueId value) {
+  return ((static_cast<uint64_t>(attr_key) << 32) | value) + 1;
+}
+
+/// Slot hash of a packed pair (Fibonacci hashing: the high product bits
+/// mix both halves).
+uint64_t HashPair(uint64_t pair) { return pair * 0x9e3779b97f4a7c15ull; }
+
 /// Reusable per-thread buffer for building candidate key text before the
 /// intern lookup; the hit path allocates nothing beyond the buffer's
 /// high-water mark.
@@ -36,6 +46,16 @@ KeyInterner::Table::Table(size_t capacity)
   }
 }
 
+KeyInterner::PairTable::PairTable(size_t capacity)
+    : mask(capacity - 1),
+      pairs(std::make_unique<std::atomic<uint64_t>[]>(capacity)),
+      ids(new KeyId[capacity]) {
+  RJOIN_CHECK((capacity & mask) == 0) << "table capacity must be 2^k";
+  for (size_t i = 0; i < capacity; ++i) {
+    pairs[i].store(0, std::memory_order_relaxed);
+  }
+}
+
 KeyInterner::KeyInterner()
     : slabs_(std::make_unique<std::atomic<Entry*>[]>(kMaxSlabs)) {
   for (uint32_t i = 0; i < kMaxSlabs; ++i) {
@@ -44,6 +64,9 @@ KeyInterner::KeyInterner()
   auto table = std::make_unique<Table>(1024);
   table_.store(table.get(), std::memory_order_release);
   retired_.push_back(std::move(table));
+  auto pairs = std::make_unique<PairTable>(1024);
+  pair_table_.store(pairs.get(), std::memory_order_release);
+  retired_pairs_.push_back(std::move(pairs));
 }
 
 KeyInterner::~KeyInterner() {
@@ -176,6 +199,63 @@ KeyId KeyInterner::InternValue(std::string_view relation,
   buf += kKeySep;
   value.AppendKeyString(&buf);
   return Intern(buf, Level::kValue);
+}
+
+KeyId KeyInterner::FindPair(const PairTable& table, uint64_t pair) {
+  size_t i = (HashPair(pair) >> 32) & table.mask;
+  for (;;) {
+    const uint64_t slot = table.pairs[i].load(std::memory_order_acquire);
+    if (slot == pair) return table.ids[i];
+    if (slot == 0) return kInvalidKeyId;
+    i = (i + 1) & table.mask;
+  }
+}
+
+void KeyInterner::PublishPair(PairTable& table, uint64_t pair, KeyId id) {
+  size_t i = (HashPair(pair) >> 32) & table.mask;
+  while (table.pairs[i].load(std::memory_order_relaxed) != 0) {
+    i = (i + 1) & table.mask;
+  }
+  table.ids[i] = id;
+  table.pairs[i].store(pair, std::memory_order_release);
+}
+
+KeyId KeyInterner::InternValue(KeyId attr_key, ValueId value) {
+  RJOIN_DCHECK(level(attr_key) == Level::kAttribute);
+  const uint64_t pair = PackPair(attr_key, value);
+  KeyId id = FindPair(*pair_table_.load(std::memory_order_acquire), pair);
+  if (id != kInvalidKeyId) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return id;
+  }
+
+  // First sight of the pair: the text form decides the id (it may already
+  // be interned, through the text builders or a value sharing its text).
+  std::string& buf = KeyBuffer();
+  buf.append(text(attr_key));
+  buf += kKeySep;
+  ValueInterner::Global().value(value).AppendKeyString(&buf);
+  id = Intern(buf, Level::kValue);
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  PairTable* table = pair_table_.load(std::memory_order_relaxed);
+  if (FindPair(*table, pair) != kInvalidKeyId) return id;  // lost a race
+  // Grow at 70% load; readers on the old table miss and land here.
+  if ((static_cast<uint64_t>(num_pairs_) + 1) * 10 >= (table->mask + 1) * 7) {
+    auto bigger = std::make_unique<PairTable>((table->mask + 1) * 2);
+    for (size_t i = 0; i <= table->mask; ++i) {
+      const uint64_t old = table->pairs[i].load(std::memory_order_relaxed);
+      if (old != 0) {
+        PublishPair(*bigger, old, table->ids[i]);
+      }
+    }
+    table = bigger.get();
+    pair_table_.store(table, std::memory_order_release);
+    retired_pairs_.push_back(std::move(bigger));
+  }
+  PublishPair(*table, pair, id);
+  ++num_pairs_;
+  return id;
 }
 
 KeyId KeyInterner::WithShard(KeyId attr_key, uint32_t shard) {

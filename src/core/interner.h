@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/key.h"
+#include "core/tuple_ref.h"
 #include "dht/id.h"
 #include "sql/value.h"
 
@@ -27,6 +28,8 @@ namespace rjoin::core {
 ///    from any thread, concurrently with inserts.
 ///  * Inserts take a mutex, but only for keys seen for the first time; a
 ///    repeated Intern() is a lock-free hit. Steady state interns nothing.
+///    The structured (attribute KeyId, ValueId) index behind
+///    InternValue(KeyId, ValueId) follows the same contract.
 ///  * Entries are immortal: slabs and retired index tables are never freed
 ///    while the interner lives, so ids and `const std::string&` references
 ///    stay valid forever.
@@ -66,6 +69,16 @@ class KeyInterner {
   /// Value-level key Hash(R + A + v).
   KeyId InternValue(std::string_view relation, std::string_view attr,
                     const sql::Value& value);
+
+  /// Structured form of the value-level key: the id InternValue(R, A, v)
+  /// returns, where `attr_key` is the attribute-level key of (R, A) and
+  /// `value` the ValueInterner::Global() id of v. A repeated pair — the
+  /// rewrite path's steady state — is one lock-free probe of a
+  /// (attribute KeyId, ValueId) index and builds no text; a first sight
+  /// renders the text once, interns it through Intern() and publishes the
+  /// pair. Values whose key text coincides (Int(3) and Str("3")) resolve to
+  /// the one id their shared text names.
+  KeyId InternValue(KeyId attr_key, ValueId value);
 
   /// Re-shards an attribute-level key ([18]'s replication scheme); shard 0
   /// is the plain key.
@@ -119,6 +132,18 @@ class KeyInterner {
     std::unique_ptr<std::atomic<uint64_t>[]> slots;
   };
 
+  /// Open-addressing index (attribute KeyId, ValueId) -> value-level
+  /// KeyId. `pairs[i]` packs the pair plus one (0 = empty) and is
+  /// release-published after `ids[i]` is written, so a reader that matches
+  /// a pair reads a settled id; `ids` is written once per slot and left
+  /// uninitialized until then. Same resize/retire discipline as Table.
+  struct PairTable {
+    explicit PairTable(size_t capacity);
+    const size_t mask;
+    std::unique_ptr<std::atomic<uint64_t>[]> pairs;
+    std::unique_ptr<KeyId[]> ids;
+  };
+
   static constexpr uint32_t kSlabBits = 10;  // 1024 entries per slab
   static constexpr uint32_t kSlabSize = 1u << kSlabBits;
   static constexpr uint32_t kMaxSlabs = 1u << 12;  // 4M keys hard cap
@@ -127,6 +152,8 @@ class KeyInterner {
   KeyId FindIn(const Table& table, std::string_view text, Level level,
                uint64_t hash) const;
   void PublishInto(Table& table, uint64_t hash, KeyId id);
+  static KeyId FindPair(const PairTable& table, uint64_t pair);
+  static void PublishPair(PairTable& table, uint64_t pair, KeyId id);
 
   /// Slab spine: fixed-size array of atomics so readers never race a
   /// growing vector. Slabs are allocated under the mutex and published
@@ -136,6 +163,9 @@ class KeyInterner {
 
   std::atomic<Table*> table_;
   std::vector<std::unique_ptr<Table>> retired_;  // old tables, kept alive
+  std::atomic<PairTable*> pair_table_;
+  std::vector<std::unique_ptr<PairTable>> retired_pairs_;
+  uint32_t num_pairs_ = 0;  // guarded by mutex_
   std::mutex mutex_;
 
   std::atomic<uint64_t> hits_{0};

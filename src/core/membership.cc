@@ -31,7 +31,7 @@ std::vector<dht::NodeIndex>& ReplicaTargetBuffer() {
 bool RJoinEngine::MaybeForward(dht::NodeIndex self, KeyId key,
                                MessageTask* task) {
   const dht::NodeIndex owner =
-      network_->SuccessorOf(interner_->ring_id(key));
+      transport_->CachedSuccessorOf(key, interner_->ring_id(key));
   if (owner == self) return false;
   // Responsibility for `key` moved while this message was in flight (or the
   // sender used a stale cached address). The old owner knows the current

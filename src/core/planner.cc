@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
+#include "core/interner.h"
 
 namespace rjoin::core {
 
@@ -29,66 +29,49 @@ void PushUnique(std::vector<KeyId>& out, KeyId key) {
 }  // namespace
 
 std::vector<KeyId> IndexingCandidates(const Residual& residual,
-                                      RewriteIndexLevels levels,
-                                      KeyInterner& interner) {
+                                      RewriteIndexLevels levels) {
   std::vector<KeyId> out;
-  IndexingCandidates(residual, levels, interner, &out);
+  IndexingCandidates(residual, levels, &out);
   return out;
 }
 
 void IndexingCandidates(const Residual& residual, RewriteIndexLevels levels,
-                        KeyInterner& interner, std::vector<KeyId>* out_ptr) {
+                        std::vector<KeyId>* out_ptr) {
   const InputQuery& q = *residual.origin();
-  const sql::Query& spec = q.spec();
   std::vector<KeyId>& out = *out_ptr;
   out.clear();
 
   if (residual.IsInputQuery()) {
     // Input queries: attribute-level keys from WHERE-clause expressions, in
     // clause order (join sides first, then selections).
-    for (const auto& j : spec.joins) {
-      PushUnique(out,
-                 interner.InternAttribute(j.left.relation, j.left.attribute));
-      PushUnique(
-          out, interner.InternAttribute(j.right.relation, j.right.attribute));
+    for (const auto& j : q.joins()) {
+      PushUnique(out, j.left_key);
+      PushUnique(out, j.right_key);
     }
-    for (const auto& s : spec.selections) {
-      PushUnique(out,
-                 interner.InternAttribute(s.attr.relation, s.attr.attribute));
-    }
-    if (out.empty() && q.num_relations() == 1) {
-      // Single-relation query with no predicates: fall back to the first
-      // attribute of the relation so every tuple of it reaches the query.
-      const sql::Schema& schema = q.schema(0);
-      RJOIN_CHECK(schema.arity() > 0);
-      out.push_back(interner.InternAttribute(q.relation_name(0),
-                                             schema.attributes()[0]));
+    for (const auto& s : q.selections()) PushUnique(out, s.attr_key);
+    if (out.empty() && q.fallback_key() != kInvalidKeyId) {
+      out.push_back(q.fallback_key());
     }
     return;
   }
 
-  // Rewritten queries — value-level candidates first.
+  // Rewritten queries — value-level candidates first, each the structured
+  // (attribute key, bound value) pair.
+  KeyInterner& interner = KeyInterner::Global();
   // (c) implied triples: join predicates with exactly one side bound.
-  for (size_t i = 0; i < q.joins().size(); ++i) {
-    const auto& rj = q.joins()[i];
-    const sql::JoinPredicate& orig = spec.joins[i];
-    const sql::Value* l = residual.BoundValue(rj.left_rel, rj.left_attr);
-    const sql::Value* r = residual.BoundValue(rj.right_rel, rj.right_attr);
-    if (l != nullptr && r == nullptr) {
-      PushUnique(out, interner.InternValue(orig.right.relation,
-                                           orig.right.attribute, *l));
-    } else if (l == nullptr && r != nullptr) {
-      PushUnique(out, interner.InternValue(orig.left.relation,
-                                           orig.left.attribute, *r));
+  for (const auto& j : q.joins()) {
+    const ValueId l = residual.BoundValueId(j.left_rel, j.left_attr);
+    const ValueId r = residual.BoundValueId(j.right_rel, j.right_attr);
+    if (l != kInvalidValueId && r == kInvalidValueId) {
+      PushUnique(out, interner.InternValue(j.right_key, l));
+    } else if (l == kInvalidValueId && r != kInvalidValueId) {
+      PushUnique(out, interner.InternValue(j.left_key, r));
     }
   }
   // (b) explicit selection triples on unbound relations.
-  for (size_t i = 0; i < q.selections().size(); ++i) {
-    const auto& rs = q.selections()[i];
-    if (residual.IsBound(rs.rel)) continue;
-    const sql::SelectionPredicate& orig = spec.selections[i];
-    PushUnique(out, interner.InternValue(orig.attr.relation,
-                                         orig.attr.attribute, orig.value));
+  for (const auto& s : q.selections()) {
+    if (residual.IsBound(s.rel)) continue;
+    PushUnique(out, interner.InternValue(s.attr_key, s.value_id));
   }
   // (a) attribute-level pairs from join conditions still fully open. Under
   // kValuePreferred these are a fallback for residuals with no value-level
@@ -96,17 +79,12 @@ void IndexingCandidates(const Residual& residual, RewriteIndexLevels levels,
   if (levels == RewriteIndexLevels::kValuePreferred && !out.empty()) {
     return;
   }
-  for (size_t i = 0; i < q.joins().size(); ++i) {
-    const auto& rj = q.joins()[i];
-    if (residual.IsBound(rj.left_rel) || residual.IsBound(rj.right_rel)) {
+  for (const auto& j : q.joins()) {
+    if (residual.IsBound(j.left_rel) || residual.IsBound(j.right_rel)) {
       continue;
     }
-    const sql::JoinPredicate& orig = spec.joins[i];
-    PushUnique(out,
-               interner.InternAttribute(orig.left.relation,
-                                        orig.left.attribute));
-    PushUnique(out, interner.InternAttribute(orig.right.relation,
-                                             orig.right.attribute));
+    PushUnique(out, j.left_key);
+    PushUnique(out, j.right_key);
   }
 }
 

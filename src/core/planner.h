@@ -1,10 +1,8 @@
 #ifndef RJOIN_CORE_PLANNER_H_
 #define RJOIN_CORE_PLANNER_H_
 
-#include <string>
 #include <vector>
 
-#include "core/interner.h"
 #include "core/key.h"
 #include "core/residual.h"
 
@@ -59,20 +57,21 @@ enum class RewriteIndexLevels {
 /// first (they give better load distribution and are the paper's default),
 /// in WHERE-clause order, followed by attribute-level pairs per `levels`.
 ///
-/// Candidates come back as interned KeyIds: key text is built once into a
-/// reusable buffer and interned (a lock-free hit in steady state), and the
-/// planner/engine compare, route, and store by u32 id from here on.
+/// Candidates come back as KeyInterner::Global() ids, and no text is
+/// built: attribute-level keys were interned when the input query was
+/// compiled (InputQuery's `*_key` fields), and a value-level key is the
+/// structured (attribute key, bound ValueId) pair, a lock-free probe in
+/// steady state (KeyInterner::InternValue(KeyId, ValueId)).
 ///
 /// The out-parameter form clears and fills a caller-owned buffer — the
 /// engine passes a reusable thread-local vector, so the per-rewrite
 /// candidate enumeration is allocation-free once warm.
 void IndexingCandidates(const Residual& residual, RewriteIndexLevels levels,
-                        KeyInterner& interner, std::vector<KeyId>* out);
+                        std::vector<KeyId>* out);
 
 std::vector<KeyId> IndexingCandidates(
     const Residual& residual,
-    RewriteIndexLevels levels = RewriteIndexLevels::kValuePreferred,
-    KeyInterner& interner = KeyInterner::Global());
+    RewriteIndexLevels levels = RewriteIndexLevels::kValuePreferred);
 
 }  // namespace rjoin::core
 

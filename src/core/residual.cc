@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/interner.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -115,6 +116,27 @@ StatusOr<InputQueryPtr> InputQuery::Create(uint64_t query_id,
             " appears in no predicate (cartesian product not supported)");
       }
     }
+  }
+
+  // Attribute-level index keys, interned in the order the planner offers
+  // them (join sides, then selections) once the query is known valid.
+  KeyInterner& interner = KeyInterner::Global();
+  for (size_t i = 0; i < s.joins.size(); ++i) {
+    q->joins_[i].left_key =
+        interner.InternAttribute(s.joins[i].left.relation,
+                                 s.joins[i].left.attribute);
+    q->joins_[i].right_key =
+        interner.InternAttribute(s.joins[i].right.relation,
+                                 s.joins[i].right.attribute);
+  }
+  for (size_t i = 0; i < s.selections.size(); ++i) {
+    q->selections_[i].attr_key = interner.InternAttribute(
+        s.selections[i].attr.relation, s.selections[i].attr.attribute);
+  }
+  if (s.joins.empty() && s.selections.empty() && s.relations.size() == 1 &&
+      q->schemas_[0]->arity() > 0) {
+    q->fallback_key_ = interner.InternAttribute(
+        s.relations[0], q->schemas_[0]->attributes()[0]);
   }
 
   // Projection attribute sets for the DISTINCT rule.

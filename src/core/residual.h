@@ -34,17 +34,24 @@ inline constexpr int kMaxSelectItems = 12;
 /// operations. Immutable and shared by every residual derived from it.
 class InputQuery {
  public:
+  /// The `*_key`/`attr_key` fields are the interned attribute-level keys
+  /// (KeyInterner::Global()) of the predicate's attributes, as written in
+  /// the query: the planner reads them and pairs them with bound ValueIds,
+  /// so candidate enumeration never renders key text.
   struct ResolvedJoin {
     int left_rel;
     int left_attr;
     int right_rel;
     int right_attr;
+    KeyId left_key = kInvalidKeyId;
+    KeyId right_key = kInvalidKeyId;
   };
   struct ResolvedSelection {
     int rel;
     int attr;
     sql::Value value;
     ValueId value_id = kInvalidValueId;  ///< interned `value`
+    KeyId attr_key = kInvalidKeyId;
   };
   struct ResolvedSelectItem {
     bool is_const = false;
@@ -103,6 +110,11 @@ class InputQuery {
     return select_items_;
   }
 
+  /// Attribute-level key of a single-relation query without predicates:
+  /// its relation's first attribute, so every tuple of it reaches the
+  /// query. kInvalidKeyId for every other query.
+  KeyId fallback_key() const { return fallback_key_; }
+
   /// Attribute indices of relation `rel` referenced anywhere in the select
   /// list or WHERE clause, sorted; used for the DISTINCT projection rule of
   /// Section 4.
@@ -125,6 +137,7 @@ class InputQuery {
   std::vector<ResolvedJoin> joins_;
   std::vector<ResolvedSelection> selections_;
   std::vector<ResolvedSelectItem> select_items_;
+  KeyId fallback_key_ = kInvalidKeyId;
   std::vector<std::vector<int>> proj_attrs_;
   std::vector<const sql::Schema*> schemas_;
 };

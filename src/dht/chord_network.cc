@@ -9,6 +9,42 @@
 
 namespace rjoin::dht {
 
+void ChordNode::SetFingers(std::vector<NodeIndex> fingers) {
+  fingers_ = std::move(fingers);
+  RebuildFingerRuns();
+}
+
+void ChordNode::SetFinger(int b, NodeIndex f) {
+  NodeIndex& slot = fingers_[static_cast<size_t>(b)];
+  if (slot == f) return;
+  slot = f;
+  RebuildFingerRuns();
+}
+
+void ChordNode::RebuildFingerRuns() {
+  finger_runs_.clear();
+  for (auto it = fingers_.rbegin(); it != fingers_.rend(); ++it) {
+    if (finger_runs_.empty() || finger_runs_.back() != *it) {
+      finger_runs_.push_back(*it);
+    }
+  }
+}
+
+size_t ChordNetwork::RingLowerBound(const NodeId& id) const {
+  return static_cast<size_t>(
+      std::lower_bound(ring_.begin(), ring_.end(), id,
+                       [](const RingEntry& e, const NodeId& k) {
+                         return e.id < k;
+                       }) -
+      ring_.begin());
+}
+
+size_t ChordNetwork::RingPos(NodeIndex node) const {
+  const size_t pos = RingLowerBound(nodes_[node]->id());
+  RJOIN_CHECK(pos < ring_.size() && ring_[pos].node == node);
+  return pos;
+}
+
 void ChordNetwork::BumpGeneration() {
   // One process-global counter (starting at 1) keeps generation stamps
   // unique across every network in the process — required by the
@@ -48,13 +84,15 @@ std::unique_ptr<ChordNetwork> ChordNetwork::CreateWithPositions(
 }
 
 StatusOr<NodeIndex> ChordNetwork::AddNode(NodeId id) {
-  if (ring_.contains(id)) {
+  const size_t pos = RingLowerBound(id);
+  if (pos < ring_.size() && ring_[pos].id == id) {
     return Status::AlreadyExists("ring position already occupied");
   }
   const NodeIndex index = static_cast<NodeIndex>(nodes_.size());
   nodes_.push_back(std::make_unique<ChordNode>(index, id));
   route_caches_.emplace_back();
-  ring_.emplace(id, index);
+  ring_.insert(ring_.begin() + static_cast<std::ptrdiff_t>(pos),
+               RingEntry{id, index});
   BumpGeneration();
   return index;
 }
@@ -63,8 +101,8 @@ Status ChordNetwork::FailNode(NodeIndex node) {
   if (node >= nodes_.size() || !nodes_[node]->alive()) {
     return Status::NotFound("no such alive node");
   }
+  ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(RingPos(node)));
   nodes_[node]->set_alive(false);
-  ring_.erase(nodes_[node]->id());
   BumpGeneration();
   return Status::Ok();
 }
@@ -79,17 +117,15 @@ StatusOr<KeyRange> ChordNetwork::RemoveAndSplice(NodeIndex node) {
   }
   // Ring-order neighbors from the membership index (exact even when the
   // node-local pointers are stale).
-  auto it = ring_.find(nodes_[node]->id());
-  RJOIN_CHECK(it != ring_.end());
-  auto prev_it = it == ring_.begin() ? std::prev(ring_.end()) : std::prev(it);
-  auto next_it = std::next(it) == ring_.end() ? ring_.begin() : std::next(it);
-  const NodeIndex pred = prev_it->second;
-  const NodeIndex succ = next_it->second;
+  const size_t pos = RingPos(node);
+  const size_t n = ring_.size();
+  const NodeIndex pred = ring_[(pos + n - 1) % n].node;
+  const NodeIndex succ = ring_[(pos + 1) % n].node;
 
   const KeyRange orphaned{nodes_[pred]->id(), nodes_[node]->id()};
 
   nodes_[node]->set_alive(false);
-  ring_.erase(it);
+  ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(pos));
   BumpGeneration();
 
   // Splice the neighbor pointers exactly, then rebuild the successor list
@@ -124,12 +160,12 @@ StatusOr<KeyRange> ChordNetwork::CrashNode(NodeIndex node) {
 void ChordNetwork::RepairSuccessorListsAround(NodeIndex around) {
   if (ring_.empty()) return;
   RJOIN_CHECK(around < nodes_.size() && nodes_[around]->alive());
-  auto it = ring_.find(nodes_[around]->id());
-  RJOIN_CHECK(it != ring_.end());
-  const size_t reach = std::min(kSuccessorListLen, ring_.size() - 1);
+  const size_t n = ring_.size();
+  size_t pos = RingPos(around);
+  const size_t reach = std::min(kSuccessorListLen, n - 1);
   for (size_t k = 0; k < reach; ++k) {
-    it = it == ring_.begin() ? std::prev(ring_.end()) : std::prev(it);
-    StabilizeOnce(it->second);
+    pos = (pos + n - 1) % n;
+    StabilizeOnce(ring_[pos].node);
   }
 }
 
@@ -169,9 +205,7 @@ void ChordNetwork::Stabilize() {
   if (ring_.empty()) return;
   BumpGeneration();
   // Walk the ring in id order to set successor/predecessor/successor-list.
-  std::vector<NodeIndex> order;
-  order.reserve(ring_.size());
-  for (const auto& [id, idx] : ring_) order.push_back(idx);
+  const std::vector<NodeIndex> order = AliveNodes();
 
   const size_t n = order.size();
   for (size_t i = 0; i < n; ++i) {
@@ -186,11 +220,11 @@ void ChordNetwork::Stabilize() {
   // Finger tables: finger[i] = Successor(id + 2^i).
   for (size_t i = 0; i < n; ++i) {
     ChordNode& nd = *nodes_[order[i]];
-    auto& fingers = nd.mutable_fingers();
-    fingers.assign(NodeId::kBits, kInvalidNode);
+    std::vector<NodeIndex> fingers(NodeId::kBits);
     for (int b = 0; b < NodeId::kBits; ++b) {
-      fingers[b] = SuccessorOf(nd.id().AddPowerOfTwo(b));
+      fingers[static_cast<size_t>(b)] = SuccessorOf(nd.id().AddPowerOfTwo(b));
     }
+    nd.SetFingers(std::move(fingers));
   }
 }
 
@@ -199,7 +233,8 @@ StatusOr<NodeIndex> ChordNetwork::JoinViaBootstrap(NodeId id,
   if (bootstrap >= nodes_.size() || !nodes_[bootstrap]->alive()) {
     return Status::NotFound("bootstrap node is not alive");
   }
-  if (ring_.contains(id)) {
+  const size_t pos = RingLowerBound(id);
+  if (pos < ring_.size() && ring_[pos].id == id) {
     return Status::AlreadyExists("ring position already occupied");
   }
   // Resolve the successor before inserting into the membership index so
@@ -209,13 +244,14 @@ StatusOr<NodeIndex> ChordNetwork::JoinViaBootstrap(NodeId id,
   const NodeIndex index = static_cast<NodeIndex>(nodes_.size());
   nodes_.push_back(std::make_unique<ChordNode>(index, id));
   route_caches_.emplace_back();
-  ring_.emplace(id, index);
+  ring_.insert(ring_.begin() + static_cast<std::ptrdiff_t>(pos),
+               RingEntry{id, index});
   BumpGeneration();
 
   ChordNode& nd = *nodes_[index];
   nd.set_successor(succ);
   nd.set_predecessor(kInvalidNode);  // Learned through notify().
-  nd.mutable_fingers().assign(NodeId::kBits, succ);  // Coarse start.
+  nd.SetFingers(std::vector<NodeIndex>(NodeId::kBits, succ));  // Coarse.
   nd.mutable_successor_list().assign(1, succ);
   return index;
 }
@@ -272,10 +308,11 @@ void ChordNetwork::FixFingersOnce(NodeIndex n, int finger_index) {
   ChordNode& nd = *nodes_[n];
   if (!nd.alive()) return;
   BumpGeneration();
-  auto& fingers = nd.mutable_fingers();
-  if (fingers.empty()) fingers.assign(NodeId::kBits, nd.successor());
-  fingers[static_cast<size_t>(finger_index)] =
-      FindSuccessorFrom(n, nd.id().AddPowerOfTwo(finger_index));
+  if (nd.fingers().empty()) {
+    nd.SetFingers(std::vector<NodeIndex>(NodeId::kBits, nd.successor()));
+  }
+  nd.SetFinger(finger_index,
+               FindSuccessorFrom(n, nd.id().AddPowerOfTwo(finger_index)));
 }
 
 void ChordNetwork::RunProtocolRounds(int rounds) {
@@ -313,9 +350,7 @@ NodeIndex ChordNetwork::FindSuccessorFrom(NodeIndex src,
     }
     // Closest preceding *alive* finger; else step to the successor.
     NodeIndex next = succ;
-    const auto& fingers = nd.fingers();
-    for (int b = static_cast<int>(fingers.size()) - 1; b >= 0; --b) {
-      const NodeIndex f = fingers[static_cast<size_t>(b)];
+    for (const NodeIndex f : nd.finger_runs()) {
       if (f == kInvalidNode || f >= nodes_.size() || !nodes_[f]->alive()) {
         continue;
       }
@@ -352,17 +387,14 @@ bool ChordNetwork::RingConsistent() const {
 
 NodeIndex ChordNetwork::SuccessorOf(const NodeId& key) const {
   RJOIN_CHECK(!ring_.empty()) << "empty network";
-  auto it = ring_.lower_bound(key);
-  if (it == ring_.end()) it = ring_.begin();  // Wrap around the ring.
-  return it->second;
+  const size_t pos = RingLowerBound(key);
+  return ring_[pos == ring_.size() ? 0 : pos].node;  // Wrap around the ring.
 }
 
 NodeIndex ChordNetwork::ClosestPrecedingFinger(NodeIndex from,
                                                const NodeId& key) const {
   const ChordNode& nd = *nodes_[from];
-  const auto& fingers = nd.fingers();
-  for (int b = NodeId::kBits - 1; b >= 0; --b) {
-    const NodeIndex f = fingers[b];
+  for (const NodeIndex f : nd.finger_runs()) {
     if (f == kInvalidNode || !nodes_[f]->alive()) continue;
     if (InIntervalOpenOpen(nodes_[f]->id(), nd.id(), key)) return f;
   }
@@ -419,7 +451,7 @@ double ChordNetwork::EstimateSize(NodeIndex n) const {
 std::vector<NodeIndex> ChordNetwork::AliveNodes() const {
   std::vector<NodeIndex> out;
   out.reserve(ring_.size());
-  for (const auto& [id, idx] : ring_) out.push_back(idx);
+  for (const RingEntry& e : ring_) out.push_back(e.node);
   return out;
 }
 
@@ -427,12 +459,12 @@ void ChordNetwork::SuccessorsOf(NodeIndex node, size_t count,
                                 std::vector<NodeIndex>* out) const {
   out->clear();
   if (node >= nodes_.size() || !nodes_[node]->alive()) return;
-  auto it = ring_.find(nodes_[node]->id());
-  RJOIN_CHECK(it != ring_.end());
-  const size_t reach = std::min(count, ring_.size() - 1);
+  const size_t n = ring_.size();
+  size_t pos = RingPos(node);
+  const size_t reach = std::min(count, n - 1);
   for (size_t k = 0; k < reach; ++k) {
-    it = std::next(it) == ring_.end() ? ring_.begin() : std::next(it);
-    out->push_back(it->second);
+    pos = pos + 1 == n ? 0 : pos + 1;
+    out->push_back(ring_[pos].node);
   }
 }
 

@@ -2,7 +2,6 @@
 #define RJOIN_DHT_CHORD_NETWORK_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -140,6 +139,13 @@ class ChordNetwork {
   /// ring). Requires a non-empty network.
   NodeIndex SuccessorOf(const NodeId& key) const;
 
+  /// The finger of `from` that most closely precedes `key`: the first
+  /// alive finger, scanning from the top bit down, strictly inside
+  /// (from, key); `from`'s successor when none is. Scans the finger runs
+  /// (ChordNode::finger_runs), so it tests at most the number of distinct
+  /// fingers, about log N, where the table has 160 entries.
+  NodeIndex ClosestPrecedingFinger(NodeIndex from, const NodeId& key) const;
+
   /// Simulates greedy finger routing from `src` toward the node responsible
   /// for `key`. Returns the sequence of nodes traversed, starting with src
   /// and ending with the responsible node. The number of message
@@ -200,7 +206,17 @@ class ChordNetwork {
   }
 
  private:
-  NodeIndex ClosestPrecedingFinger(NodeIndex from, const NodeId& key) const;
+  /// One alive node on the ring, keyed by its position.
+  struct RingEntry {
+    NodeId id;
+    NodeIndex node;
+  };
+
+  /// Index of the first ring entry at or after `id` (ring_.size() when
+  /// `id` is past the last one).
+  size_t RingLowerBound(const NodeId& id) const;
+  /// Index of alive node `node`'s ring entry.
+  size_t RingPos(NodeIndex node) const;
 
   void BumpGeneration();
 
@@ -215,7 +231,9 @@ class ChordNetwork {
   void RepairSuccessorListsAround(NodeIndex around);
 
   std::vector<std::unique_ptr<ChordNode>> nodes_;
-  std::map<NodeId, NodeIndex> ring_;  // alive nodes only
+  // Alive nodes only, sorted by id: successor resolution is a binary
+  // search, ring neighbours are adjacent entries.
+  std::vector<RingEntry> ring_;
   // Parallel to nodes_; lazily populated. unique_ptr keeps growth cheap and
   // slot addresses stable across the vector's own reallocation.
   std::vector<std::unique_ptr<RouteCache>> route_caches_;

@@ -33,7 +33,19 @@ class ChordNode {
 
   /// finger[i] = Successor(id + 2^i), i in [0, 160).
   const std::vector<NodeIndex>& fingers() const { return fingers_; }
-  std::vector<NodeIndex>& mutable_fingers() { return fingers_; }
+
+  /// The finger table run-compressed, top bit first: finger[159], then
+  /// every further finger (scanning down) that differs from the one above
+  /// it. A top-down scan that tests each finger meets the same nodes in the
+  /// same order, repeats aside, so scanning the runs gives the same answer
+  /// in at most about log N steps instead of up to 160. The setters below
+  /// keep it in step with fingers().
+  const std::vector<NodeIndex>& finger_runs() const { return finger_runs_; }
+
+  /// Replaces the whole table.
+  void SetFingers(std::vector<NodeIndex> fingers);
+  /// Sets finger `b`.
+  void SetFinger(int b, NodeIndex f);
 
   /// The r nearest successors, used for robustness and for the
   /// network-size estimate of Section 4.
@@ -43,12 +55,15 @@ class ChordNode {
   std::vector<NodeIndex>& mutable_successor_list() { return successor_list_; }
 
  private:
+  void RebuildFingerRuns();
+
   NodeIndex index_;
   NodeId id_;
   bool alive_ = true;
   NodeIndex successor_ = kInvalidNode;
   NodeIndex predecessor_ = kInvalidNode;
   std::vector<NodeIndex> fingers_;
+  std::vector<NodeIndex> finger_runs_;
   std::vector<NodeIndex> successor_list_;
 };
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "dht/chord_network.h"
 #include "dht/load_balancer.h"
@@ -169,6 +173,163 @@ TEST(ChordNetworkTest, SizeEstimateIsRightOrderOfMagnitude) {
     EXPECT_GT(est, static_cast<double>(n) / 4.0) << n;
     EXPECT_LT(est, static_cast<double>(n) * 4.0) << n;
   }
+}
+
+// ------------------------------------------------- Flat ring vs reference --
+
+// An independent model of the ring: a std::map membership index (built
+// from the nodes' alive flags, not from the network's ring) and the full
+// 160-finger top-down scan in place of the finger runs.
+class RingReference {
+ public:
+  explicit RingReference(const ChordNetwork& net) : net_(net) {
+    for (NodeIndex i = 0; i < net.num_total(); ++i) {
+      if (net.node(i).alive()) ring_.emplace(net.node(i).id(), i);
+    }
+  }
+
+  NodeIndex SuccessorOf(const NodeId& key) const {
+    auto it = ring_.lower_bound(key);
+    if (it == ring_.end()) it = ring_.begin();
+    return it->second;
+  }
+
+  std::vector<NodeIndex> SuccessorsOf(NodeIndex node, size_t count) const {
+    std::vector<NodeIndex> out;
+    auto it = ring_.find(net_.node(node).id());
+    const size_t reach = std::min(count, ring_.size() - 1);
+    for (size_t k = 0; k < reach; ++k) {
+      it = std::next(it) == ring_.end() ? ring_.begin() : std::next(it);
+      out.push_back(it->second);
+    }
+    return out;
+  }
+
+  NodeIndex ClosestPrecedingFinger(NodeIndex from, const NodeId& key) const {
+    const ChordNode& nd = net_.node(from);
+    for (int b = NodeId::kBits - 1; b >= 0; --b) {
+      const NodeIndex f = nd.fingers()[static_cast<size_t>(b)];
+      if (f == kInvalidNode || !net_.node(f).alive()) continue;
+      if (InIntervalOpenOpen(net_.node(f).id(), nd.id(), key)) return f;
+    }
+    return nd.successor();
+  }
+
+  // The greedy route, or nullopt where the network's RoutePath would not
+  // converge (a stale overlay mid-protocol).
+  std::optional<std::vector<NodeIndex>> Route(NodeIndex src,
+                                              const NodeId& key) const {
+    const NodeIndex responsible = SuccessorOf(key);
+    std::vector<NodeIndex> path{src};
+    NodeIndex cur = src;
+    const size_t max_hops = 2 * ring_.size() + NodeId::kBits;
+    while (cur != responsible && path.size() <= max_hops) {
+      const ChordNode& nd = net_.node(cur);
+      const NodeIndex succ = nd.successor();
+      if (succ == kInvalidNode || nd.fingers().empty()) return std::nullopt;
+      NodeIndex next = succ;
+      if (!InIntervalOpenClosed(key, nd.id(), net_.node(succ).id())) {
+        next = ClosestPrecedingFinger(cur, key);
+        if (next == cur) next = succ;
+      }
+      path.push_back(next);
+      cur = next;
+    }
+    if (cur != responsible) return std::nullopt;
+    return path;
+  }
+
+ private:
+  const ChordNetwork& net_;
+  std::map<NodeId, NodeIndex> ring_;
+};
+
+// Compares every ring query of `net` with the reference on random keys;
+// returns how many routes converged and were compared.
+int ExpectMatchesReference(const ChordNetwork& net, Rng& rng,
+                           const std::string& step) {
+  SCOPED_TRACE(step);
+  const RingReference ref(net);
+  std::vector<NodeIndex> alive;
+  for (NodeIndex i = 0; i < net.num_total(); ++i) {
+    if (net.node(i).alive()) alive.push_back(i);
+  }
+  EXPECT_EQ(net.num_alive(), alive.size());
+  std::vector<NodeIndex> succs;
+  for (NodeIndex n : alive) {
+    // The finger runs are the finger table with repeats collapsed.
+    std::vector<NodeIndex> runs;
+    const auto& fingers = net.node(n).fingers();
+    for (auto it = fingers.rbegin(); it != fingers.rend(); ++it) {
+      if (runs.empty() || runs.back() != *it) runs.push_back(*it);
+    }
+    EXPECT_EQ(net.node(n).finger_runs(), runs) << "node " << n;
+    for (size_t count : {1u, 3u, 8u}) {
+      net.SuccessorsOf(n, count, &succs);
+      EXPECT_EQ(succs, ref.SuccessorsOf(n, count)) << "node " << n;
+    }
+  }
+  int routes = 0;
+  for (int i = 0; i < 200; ++i) {
+    const NodeId key = NodeId::FromKey("ref:" + std::to_string(rng.Next()));
+    EXPECT_EQ(net.SuccessorOf(key), ref.SuccessorOf(key));
+    const NodeIndex src = alive[rng.NextBounded(alive.size())];
+    if (net.node(src).fingers().empty()) continue;
+    EXPECT_EQ(net.ClosestPrecedingFinger(src, key),
+              ref.ClosestPrecedingFinger(src, key));
+    if (auto path = ref.Route(src, key)) {
+      std::vector<NodeIndex> got;
+      net.RoutePath(src, key, &got);
+      EXPECT_EQ(got, *path);
+      ++routes;
+    }
+  }
+  return routes;
+}
+
+TEST(FlatRingTest, MatchesMapAndFullFingerScanThroughMembershipTrace) {
+  auto net = ChordNetwork::Create(40, 11);
+  Rng rng(2024);
+  auto fresh_id = [&] {
+    return NodeId::FromKey("trace:" + std::to_string(rng.Next()));
+  };
+  auto any_alive = [&] {
+    const auto alive = net->AliveNodes();
+    return alive[rng.NextBounded(alive.size())];
+  };
+  EXPECT_EQ(ExpectMatchesReference(*net, rng, "create"), 200);
+
+  auto added = net->AddNode(fresh_id());
+  ASSERT_TRUE(added.ok());
+  ExpectMatchesReference(*net, rng, "AddNode");
+  net->Stabilize();
+  EXPECT_EQ(ExpectMatchesReference(*net, rng, "Stabilize"), 200);
+
+  auto joined = net->JoinViaBootstrap(fresh_id(), any_alive());
+  ASSERT_TRUE(joined.ok());
+  ExpectMatchesReference(*net, rng, "JoinViaBootstrap");
+  for (int b : {159, 150, 120, 80, 3}) {
+    net->FixFingersOnce(*joined, b);
+    ExpectMatchesReference(*net, rng, "FixFingersOnce " + std::to_string(b));
+  }
+  net->StabilizeOnce(*joined);
+  ExpectMatchesReference(*net, rng, "StabilizeOnce");
+  net->RunProtocolRounds(1);
+  ExpectMatchesReference(*net, rng, "RunProtocolRounds");
+
+  ASSERT_TRUE(net->FailNode(any_alive()).ok());
+  ExpectMatchesReference(*net, rng, "FailNode");
+  net->RunProtocolRounds(2);
+  EXPECT_GT(ExpectMatchesReference(*net, rng, "rounds after FailNode"), 0);
+
+  // LeaveNode and CrashNode are the two faces of RemoveAndSplice.
+  ASSERT_TRUE(net->LeaveNode(any_alive()).ok());
+  ExpectMatchesReference(*net, rng, "LeaveNode");
+  ASSERT_TRUE(net->CrashNode(any_alive()).ok());
+  ExpectMatchesReference(*net, rng, "CrashNode");
+  auto spliced = net->JoinAndSplice(fresh_id(), any_alive());
+  ASSERT_TRUE(spliced.ok());
+  EXPECT_GT(ExpectMatchesReference(*net, rng, "JoinAndSplice"), 0);
 }
 
 // ------------------------------------------------------------- Transport --

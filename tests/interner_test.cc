@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -94,6 +95,94 @@ TEST(KeyInternerTest, WithShardMatchesBoundaryForm) {
   const KeyId s3 = in.WithShard(base, 3);
   EXPECT_EQ(in.text(s3), ShardedAttributeKey("R", "A", 3).text);
   EXPECT_EQ(in.level(s3), Level::kAttribute);
+}
+
+// The structured (attribute KeyId, ValueId) form must name the very key
+// the text form names: same id, same text, same ring position.
+TEST(KeyInternerTest, StructuredValueKeyEqualsTextForm) {
+  const std::vector<sql::Value> values = {
+      sql::Value::Int(-7),
+      sql::Value::Int(INT64_MIN),
+      sql::Value::Int(INT64_MAX),
+      sql::Value::Int(int64_t{1} << 40),
+      sql::Value::Str("#3"),  // looks like a shard suffix
+      sql::Value::Str("plain"),
+  };
+  KeyInterner in;
+  const KeyId attr = in.InternAttribute("R", "A");
+  for (const sql::Value& v : values) {
+    SCOPED_TRACE(v.ToDisplayString());
+    const ValueId vid = ValueInterner::Global().Intern(v);
+    const KeyId by_text = in.InternValue("R", "A", v);
+    EXPECT_EQ(in.InternValue(attr, vid), by_text);
+    EXPECT_EQ(in.InternValue(attr, vid), by_text);  // the hit path
+    EXPECT_EQ(in.level(by_text), Level::kValue);
+    EXPECT_EQ(in.ring_id(by_text), KeyRingId(ValueKey("R", "A", v)));
+  }
+  // "#3" at value level stays distinct from the sharded attribute key with
+  // the same text, as in SameTextAtBothLevelsStaysDistinct.
+  const KeyId hash3 =
+      in.InternValue(attr, ValueInterner::Global().Intern(
+                               sql::Value::Str("#3")));
+  EXPECT_NE(hash3, in.WithShard(attr, 3));
+  EXPECT_EQ(in.text(hash3), in.text(in.WithShard(attr, 3)));
+}
+
+TEST(KeyInternerTest, StructuredFirstSightInternsTheTextKey) {
+  KeyInterner in;
+  const KeyId attr = in.InternAttribute("S", "B");
+  const sql::Value v = sql::Value::Int(-123456789012);
+  const KeyId id = in.InternValue(attr, ValueInterner::Global().Intern(v));
+  EXPECT_EQ(in.size(), 2u);
+  EXPECT_EQ(in.text(id), ValueKey("S", "B", v).text);
+  EXPECT_EQ(in.level(id), Level::kValue);
+  EXPECT_EQ(in.ring_id(id), KeyRingId(ValueKey("S", "B", v)));
+  EXPECT_EQ(in.InternValue("S", "B", v), id);
+  EXPECT_EQ(in.Find(ValueKey("S", "B", v).text, Level::kValue), id);
+  // Int(3) and Str("3") render the same key text, so both pairs name the
+  // one key whichever is seen first.
+  const KeyId int3 =
+      in.InternValue(attr, ValueInterner::Global().Intern(sql::Value::Int(3)));
+  EXPECT_EQ(in.InternValue(attr, ValueInterner::Global().Intern(
+                                     sql::Value::Str("3"))),
+            int3);
+  EXPECT_EQ(in.size(), 3u);
+}
+
+// Threads racing the first sight of the same pairs (across pair-index
+// resizes) all get one id per pair. Run under TSan in CI.
+TEST(KeyInternerTest, ConcurrentStructuredFirstSightAgrees) {
+  KeyInterner in;
+  const KeyId attr = in.InternAttribute("R", "C");
+  constexpr int kThreads = 4;
+  constexpr int kValues = 3000;
+  std::vector<ValueId> vids;
+  for (int k = 0; k < kValues; ++k) {
+    vids.push_back(ValueInterner::Global().Intern(
+        sql::Value::Str("race-" + std::to_string(k))));
+  }
+  std::vector<std::vector<KeyId>> ids(kThreads,
+                                      std::vector<KeyId>(kValues, 0));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int k = 0; k < kValues; ++k) {
+        ids[t][k] = in.InternValue(attr, vids[k]);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
+  EXPECT_EQ(in.size(), static_cast<uint32_t>(kValues + 1));
+  for (int k = 0; k < kValues; ++k) {
+    EXPECT_EQ(ids[0][k],
+              in.Find(in.text(attr) + kKeySep + "race-" + std::to_string(k),
+                      Level::kValue));
+  }
 }
 
 TEST(KeyInternerTest, SurvivesIndexResizes) {
